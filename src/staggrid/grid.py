@@ -11,16 +11,23 @@ Averaging edges to centers is a plain O(M) stencil.  The reverse direction
 is a cyclic linear system whose character depends only on the parity of N:
 
 * odd N: exactly one solution.  It is recovered in O(M) by seeding
-  e_1 = sum_{i=1..M} (-1)^(M-i) c_i and running the forward recurrence
+  e_1 = S = sum_{i=1..M} (-1)^(M-i) c_i and running the forward recurrence
   e_{i+1} = 2 c_i - e_i.
 * even N: the system matrix is singular.  Solutions exist only when the
-  alternating sum above vanishes, and then they form a one-parameter family
+  alternating sum S vanishes, and then they form a one-parameter family
   whose direction is the checkerboard vector (+1, -1, +1, ...).
 
-Fields hold float64 values by default.  Constructing a field from
+S is summed pairwise as adjacent differences, (c_2 - c_1) + (c_4 - c_3) +
+..., with a leading c_1 when M is odd, so a common offset of the centers
+cancels before anything accumulates.
+
+The line kernel works along the last axis of an array of any rank: an N-D
+field runs it once over all of its lines, and the 1-D API is a batch of
+one.  Fields hold float64 values by default.  Constructing a field from
 ``fractions.Fraction`` entries switches every operation on it to exact
-rational arithmetic; in that mode the even-N consistency test is exact and
-the ``tolerance`` argument is ignored.
+rational arithmetic (the kernel's constants are integers, and numpy's
+object arrays sum Fractions exactly); in that mode the even-N consistency
+test is exact and the ``tolerance`` argument is ignored.
 
 All functions here are pure: they never mutate their inputs and keep no
 module state, so concurrent use on distinct values needs no locking.
@@ -28,6 +35,7 @@ module state, so concurrent use on distinct values needs no locking.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -43,6 +51,16 @@ OUTCOME_ALWAYS_UNIQUE = "always-unique"
 OUTCOME_CONSISTENT_DEPENDENT = "consistent-dependent"
 
 
+def checked_int(value, name: str) -> int:
+    """``value`` as a Python int: any integer type but bool, else ValueError."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an int, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class PeriodicStagger1D:
     """Grid descriptor: N edge points including the two periodic images.
@@ -54,8 +72,7 @@ class PeriodicStagger1D:
     n_edges: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_edges, int) or isinstance(self.n_edges, bool):
-            raise ValueError(f"n_edges must be an int, got {self.n_edges!r}")
+        object.__setattr__(self, "n_edges", checked_int(self.n_edges, "n_edges"))
         if self.n_edges < 3:
             raise ValueError(f"n_edges must be at least 3, got {self.n_edges}")
 
@@ -152,15 +169,6 @@ class EdgeField1D:
         return np.concatenate([self.values, self.values[[0, 1 % m]]])
 
 
-def _alternating_signs(m: int, exact: bool) -> np.ndarray:
-    """Checkerboard vector (+1, -1, +1, ...) of length m, matching the mode."""
-    if exact:
-        return np.array([Fraction(1 - 2 * (k % 2)) for k in range(m)], dtype=object)
-    signs = np.ones(m, dtype=np.float64)
-    signs[1::2] = -1.0
-    return signs
-
-
 @dataclass(frozen=True, eq=False)
 class Unique:
     """Solve outcome for odd N: the single edge field."""
@@ -174,7 +182,7 @@ class Family:
 
     Every member is ``particular + t * null_direction`` for real t; the null
     direction is the checkerboard vector (+1, -1, ...), which averages to
-    zero at every center.
+    zero at every center; in exact mode it holds Python ints.
     """
 
     particular: EdgeField1D
@@ -183,26 +191,13 @@ class Family:
     def member(self, t) -> EdgeField1D:
         """The family member at parameter value t."""
         p = self.particular
-        if p.exact:
-            t = t if isinstance(t, Fraction) else Fraction(t)
-        else:
-            t = float(t)
-        return EdgeField1D(p.grid, p.values + t * self.null_direction)
+        t = Fraction(t) if p.exact else float(t)
+        return _edge_field(p.grid, _shift(p.values, t))
 
     def pinned(self, pin_index: int, pin_value) -> EdgeField1D:
         """The single member with e_{pin_index} = pin_value (1-based index)."""
-        m = self.particular.grid.n_unknowns
-        if not 1 <= pin_index <= m:
-            raise ValueError(f"pin index must be in 1..{m}, got {pin_index}")
-        k = pin_index - 1
-        if self.particular.exact:
-            pin_value = pin_value if isinstance(pin_value, Fraction) else Fraction(pin_value)
-        else:
-            pin_value = float(pin_value)
-            if not np.isfinite(pin_value):
-                raise ValueError(f"pin value must be finite, got {pin_value!r}")
-        t = (pin_value - self.particular.values[k]) / self.null_direction[k]
-        return self.member(t)
+        p = self.particular
+        return _edge_field(p.grid, pin_lines(p.values, pin_index, pin_value))
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,13 +241,154 @@ def solvability_report(n_edges: int) -> SolvabilityReport:
     return SolvabilityReport(n_edges, m, "even", 0, m - 1, OUTCOME_CONSISTENT_DEPENDENT)
 
 
+# -- the line kernel: along the last axis, one line per leading index ---------
+
+
+def _checkerboard(m: int) -> np.ndarray:
+    """The null direction (+1, -1, +1, ...) of length m, as integers."""
+    signs = np.ones(m, dtype=np.int64)
+    signs[1::2] = -1
+    return signs
+
+
+def check_finite(values, what: str):
+    """Return ``values``, or raise ValueError if a float result overflowed."""
+    if np.asarray(values).dtype.kind == "f" and not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} overflow float64: the input is too large in magnitude")
+    return values
+
+
+def alternating_sums(c: np.ndarray):
+    """S = sum_{i=1..M} (-1)^(M-i) c_i of every line of ``c``.
+
+    The differences are laid out C-contiguous, so numpy sums each line in
+    the same pairwise order whatever the layout of ``c``: a line of an N-D
+    field gets exactly the S it would get on its own.
+    """
+    if c.shape[-1] % 2 == 0:
+        return np.sum(np.subtract(c[..., 1::2], c[..., 0::2], order="C"), axis=-1)
+    return c[..., 0] + np.sum(np.subtract(c[..., 2::2], c[..., 1::2], order="C"), axis=-1)
+
+
+def _telescope(first, c: np.ndarray) -> np.ndarray:
+    """Edges of every line from e_1 = first and e_{i+1} = 2 c_i - e_i.
+
+    The recurrence telescopes to e_k = (-1)^(k-1) (e_1 - 2 P_k) with
+    P_k = sum_{j<k} (-1)^(j-1) c_j, which is one cumulative sum per line.
+    """
+    alt = _checkerboard(c.shape[-1])
+    e = np.zeros_like(c)
+    np.multiply(alt[:-1], c[..., :-1], out=e[..., 1:])
+    np.cumsum(e[..., 1:], axis=-1, out=e[..., 1:])
+    e *= -2
+    e += np.asarray(first)[..., None]
+    e *= alt
+    return e
+
+
+def _shift(e: np.ndarray, t) -> np.ndarray:
+    """Family members e + t * checkerboard, with one t per line."""
+    out = np.asarray(t)[..., None] * _checkerboard(e.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # check_finite reports it
+        out += e
+    return out
+
+
+def _validate_tolerance(tolerance: float) -> float:
+    tolerance = float(tolerance)
+    if not np.isfinite(tolerance) or tolerance < 0.0:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
+    return tolerance
+
+
+def solve_lines(c: np.ndarray, tolerance: float = DEFAULT_TOLERANCE):
+    """Solve e_i + e_{i+1} = 2 c_i on every line of ``c``.
+
+    Returns ``(edges, residual, consistent)``: for odd M the unique edges,
+    None, None.  For even M, 2 S and the test |2 S| <= tolerance *
+    max(1, max|c|) (S == 0 for Fractions) per line, and the particulars
+    with e_1 = 0, or None if any line fails.  Callers check their final
+    edges once with :func:`check_finite`.
+    """
+    tolerance = _validate_tolerance(tolerance)
+    exact = c.dtype == object
+    with np.errstate(over="ignore", invalid="ignore"):  # check_finite reports it
+        s = alternating_sums(c)
+        if c.shape[-1] % 2 == 1:
+            return _telescope(s, c), None, None
+        residual = check_finite(2 * s, "the consistency residual")
+        if exact:
+            consistent = residual == 0
+        else:
+            scale = np.maximum(1.0, np.max(np.abs(c), axis=-1))
+            consistent = np.abs(residual) <= tolerance * scale
+        if not np.all(consistent):
+            return None, residual, consistent
+        return _telescope(Fraction(0) if exact else 0.0, c), residual, consistent
+
+
+def min_norm_lines(p: np.ndarray) -> np.ndarray:
+    """The member of least Euclidean norm of each even-M family particular.
+
+    t* = -<p, null> / M makes the result orthogonal to the null direction;
+    for even M, -<p, null> is the alternating sum S of p.
+    """
+    return _shift(p, alternating_sums(p) / p.shape[-1])
+
+
+def pin_lines(p: np.ndarray, pin_index: int, pin_value) -> np.ndarray:
+    """The member of each family with e_{pin_index} = pin_value (1-based)."""
+    m = p.shape[-1]
+    if not 1 <= pin_index <= m:
+        raise ValueError(f"pin index must be in 1..{m}, got {pin_index}")
+    if p.dtype == object:
+        pin_value = Fraction(pin_value)
+    else:
+        pin_value = float(pin_value)
+        if not np.isfinite(pin_value):
+            raise ValueError(f"pin value must be finite, got {pin_value!r}")
+    k = pin_index - 1
+    return _shift(p, (pin_value - p[..., k]) * (-1 if k % 2 else 1))
+
+
+def average_lines(e: np.ndarray) -> np.ndarray:
+    """Centers c_i = (e_i + e_{i+1}) / 2 of every line, with e_{M+1} = e_1.
+
+    Where a sum e_i + e_{i+1} overflows float64, the halves are added
+    instead: the mean of finite values is always finite.
+    """
+    c = np.roll(e, -1, axis=-1)
+    with np.errstate(over="ignore"):
+        c += e
+    c /= 2
+    if c.dtype.kind == "f" and not np.all(np.isfinite(c)):
+        c = np.roll(e, -1, axis=-1) / 2 + e / 2
+    return c
+
+
+# -- the 1-D API: a batch of one ---------------------------------------------
+
+
+def _kernel_field(cls, grid: PeriodicStagger1D, values: np.ndarray):
+    """A field holding new kernel output, which has the grid's length and
+    number type already: the constructor's coercion and copy are skipped."""
+    field = object.__new__(cls)
+    object.__setattr__(field, "grid", grid)
+    object.__setattr__(field, "values", values)
+    return field
+
+
+def _edge_field(grid: PeriodicStagger1D, values: np.ndarray) -> EdgeField1D:
+    """Kernel edges as a field, after their one check for float overflow."""
+    return _kernel_field(EdgeField1D, grid, check_finite(values, "edge values"))
+
+
 def centers_from_edges(edges: EdgeField1D) -> CenterField1D:
     """Average neighbouring edges onto centers: c_i = (e_i + e_{i+1}) / 2.
 
     The wrap e_{M+1} = e_1 realizes the periodic image e_{N-1} = e_1.
     """
-    v = edges.values
-    return CenterField1D(edges.grid, (v + np.roll(v, -1)) / 2)
+    return _kernel_field(CenterField1D, edges.grid, average_lines(edges.values))
 
 
 def alternating_residual(centers: CenterField1D):
@@ -262,45 +398,8 @@ def alternating_residual(centers: CenterField1D):
     is consistent exactly when S vanishes (equivalently, when c_M equals the
     alternating sum of the other centers).
     """
-    vals = centers.values
-    m = vals.shape[0]
-    if centers.exact:
-        total = Fraction(0)
-        sign = 1
-        for v in reversed(vals.tolist()):
-            total += sign * v
-            sign = -sign
-        return total
-    signs = np.where((m - 1 - np.arange(m)) % 2 == 0, 1.0, -1.0)
-    return float(signs @ vals)
-
-
-def _forward_recurrence(first, centers: CenterField1D) -> np.ndarray:
-    """Edge values from e_1 = first and e_{i+1} = 2 c_i - e_i.
-
-    The recurrence telescopes to e_k = (-1)^(k-1) (e_1 - 2 P_k) with
-    P_k = sum_{j<k} (-1)^(j-1) c_j, which vectorizes as one cumulative sum.
-    """
-    vals = centers.values
-    m = vals.shape[0]
-    if centers.exact:
-        out = np.empty(m, dtype=object)
-        e = first if isinstance(first, Fraction) else Fraction(first)
-        out[0] = e
-        for k in range(m - 1):
-            e = 2 * vals[k] - e
-            out[k + 1] = e
-        return out
-    alt = _alternating_signs(m, exact=False)
-    partial = np.concatenate(([0.0], np.cumsum(alt[:-1] * vals[:-1])))
-    return alt * (first - 2.0 * partial)
-
-
-def _validate_tolerance(tolerance: float) -> float:
-    tolerance = float(tolerance)
-    if not np.isfinite(tolerance) or tolerance < 0.0:
-        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
-    return tolerance
+    s = alternating_sums(centers.values)
+    return s if centers.exact else float(s)
 
 
 def edges_from_centers(centers: CenterField1D,
@@ -311,25 +410,17 @@ def edges_from_centers(centers: CenterField1D,
     :class:`Family` when the alternating residual passes the consistency
     test (|2 S| <= tolerance * max(1, max|c|) in floating mode, S == 0 in
     exact mode) and :class:`Inconsistent` otherwise.  The family particular
-    is the member with e_1 = 0.
+    is the member with e_1 = 0.  Raises ValueError when the float solve
+    overflows.
     """
-    tolerance = _validate_tolerance(tolerance)
     grid = centers.grid
-    s = alternating_residual(centers)
+    edges, residual, consistent = solve_lines(centers.values, tolerance)
     if grid.is_odd:
-        return Unique(EdgeField1D(grid, _forward_recurrence(s, centers)))
-    if centers.exact:
-        consistent = s == 0
-        residual = 2 * s
-    else:
-        scale = max(1.0, float(np.max(np.abs(centers.values))))
-        residual = 2.0 * s
-        consistent = abs(residual) <= tolerance * scale
+        return Unique(_edge_field(grid, edges))
     if not consistent:
-        return Inconsistent(residual)
-    zero = Fraction(0) if centers.exact else 0.0
-    particular = EdgeField1D(grid, _forward_recurrence(zero, centers))
-    return Family(particular, _alternating_signs(grid.n_unknowns, centers.exact))
+        return Inconsistent(residual if centers.exact else float(residual))
+    particular = _edge_field(grid, edges)
+    return Family(particular, _checkerboard(grid.n_unknowns).astype(centers.values.dtype))
 
 
 def complete_min_norm(outcome: SolveOutcome) -> EdgeField1D:
@@ -350,13 +441,7 @@ def complete_min_norm(outcome: SolveOutcome) -> EdgeField1D:
             residual=outcome.residual,
         )
     p = outcome.particular
-    n = outcome.null_direction
-    m = p.grid.n_unknowns
-    if p.exact:
-        t = -sum(pv * nv for pv, nv in zip(p.values, n)) / m
-    else:
-        t = -float(p.values @ n) / m
-    return outcome.member(t)
+    return _edge_field(p.grid, min_norm_lines(p.values))
 
 
 def complete_pinned(centers: CenterField1D, pin_index: int, pin_value,
@@ -371,9 +456,6 @@ def complete_pinned(centers: CenterField1D, pin_index: int, pin_value,
         raise ParityError(
             f"pinning needs an even edge count; N={centers.grid.n_edges} has a unique solution"
         )
-    m = centers.grid.n_unknowns
-    if not 1 <= pin_index <= m:
-        raise ValueError(f"pin index must be in 1..{m}, got {pin_index}")
     outcome = edges_from_centers(centers, tolerance)
     if isinstance(outcome, Inconsistent):
         raise InconsistentDataError(

@@ -1,11 +1,10 @@
 """Axis-wise center/edge transforms for N-dimensional fields.
 
 A FieldND is a dense float array plus a marker saying which axis, if any,
-currently holds edge values.  Transforms run independently along every 1-D
-line of the chosen axis: the lines are gathered into a contiguous
-(n_lines, M) block, solved line by line with the 1-D machinery, and
-scattered back.  The gather costs one transpose-copy each way but keeps the
-inner loop contiguous and the 1-D code the single source of truth.
+currently holds edge values.  A transform solves every 1-D line of the
+chosen axis at once, running the line kernel of :mod:`staggrid.grid` over
+the view ``np.moveaxis(values, axis, -1)``: no copy, no loop per line.  The
+1-D API runs the same kernel, so each line gets the edges it would get alone.
 
 Only one axis may be staggered at a time.  Transforming to edges requires a
 fully centered field; transforming to centers requires the requested axis
@@ -22,15 +21,13 @@ import numpy as np
 from .errors import InconsistentDataError, ParityError
 from .grid import (
     DEFAULT_TOLERANCE,
-    CenterField1D,
-    EdgeField1D,
-    Inconsistent,
     PeriodicStagger1D,
-    Unique,
-    alternating_residual,
-    centers_from_edges,
-    complete_min_norm,
-    edges_from_centers,
+    average_lines,
+    check_finite,
+    checked_int,
+    min_norm_lines,
+    pin_lines,
+    solve_lines,
 )
 
 #: Completion strategies accepted by :func:`to_edges_along`.
@@ -49,19 +46,21 @@ class FieldND:
     staggered_axis: Optional[int] = None
 
     def __post_init__(self) -> None:
-        arr = np.array(self.values, dtype=np.float64)
+        raw = np.asarray(self.values)
+        if np.iscomplexobj(raw):
+            raise ValueError(f"field values must be real, got dtype {raw.dtype}")
+        arr = np.array(raw, dtype=np.float64)
         if arr.ndim < 1:
             raise ValueError("field must have at least one dimension")
         if not np.all(np.isfinite(arr)):
             raise ValueError("field contains non-finite values")
         if self.staggered_axis is not None:
-            ax = self.staggered_axis
-            if not isinstance(ax, int) or isinstance(ax, bool):
-                raise ValueError(f"staggered_axis must be an int or None, got {ax!r}")
+            ax = checked_int(self.staggered_axis, "staggered_axis")
             if not 0 <= ax < arr.ndim:
                 raise ValueError(
                     f"staggered_axis {ax} out of range for {arr.ndim}-dimensional field"
                 )
+            object.__setattr__(self, "staggered_axis", ax)
         object.__setattr__(self, "values", arr)
 
     @property
@@ -85,26 +84,13 @@ class TransformSummary:
     max_residual: float
 
 
-def _check_axis(field: FieldND, axis: int) -> None:
-    if not isinstance(axis, int) or isinstance(axis, bool):
-        raise ValueError(f"axis must be an int, got {axis!r}")
+def _check_axis(field: FieldND, axis) -> int:
+    axis = checked_int(axis, "axis")
     if not 0 <= axis < field.values.ndim:
         raise ValueError(
             f"axis {axis} out of range for {field.values.ndim}-dimensional field"
         )
-
-
-def _gather_lines(values: np.ndarray, axis: int) -> np.ndarray:
-    """View the field as an (n_lines, line_length) contiguous block."""
-    moved = np.moveaxis(values, axis, -1)
-    return np.ascontiguousarray(moved).reshape(-1, values.shape[axis])
-
-
-def _scatter_lines(lines: np.ndarray, template_shape: Tuple[int, ...],
-                   axis: int) -> np.ndarray:
-    """Inverse of :func:`_gather_lines` for an unchanged line length."""
-    moved_shape = tuple(np.moveaxis(np.empty(template_shape, dtype=np.bool_), axis, -1).shape)
-    return np.moveaxis(lines.reshape(moved_shape), -1, axis)
+    return axis
 
 
 def to_edges_along(field: FieldND, axis: int, n_edges: int, strategy: str,
@@ -118,10 +104,11 @@ def to_edges_along(field: FieldND, axis: int, n_edges: int, strategy: str,
     line's solution is produced and is checked against the grid parity up
     front: "unique" needs odd n_edges, "min-norm" and "pin" need even
     n_edges ("pin" also needs pin_index and pin_value).  Any line failing
-    the even-N consistency test raises InconsistentDataError carrying that
-    line's multi-index in ``line_coords``.
+    the even-N consistency test raises InconsistentDataError carrying the
+    multi-index of the first such line, in C order, in ``line_coords``.
+    Edges that overflow float64 raise ValueError.
     """
-    _check_axis(field, axis)
+    axis = _check_axis(field, axis)
     if field.staggered_axis is not None:
         raise ParityError(
             f"field is already staggered along axis {field.staggered_axis}; "
@@ -147,61 +134,35 @@ def to_edges_along(field: FieldND, axis: int, n_edges: int, strategy: str,
     if strategy == "pin":
         if pin_index is None or pin_value is None:
             raise ValueError("strategy 'pin' requires pin_index and pin_value")
-        if not 1 <= pin_index <= m:
-            raise ValueError(f"pin index must be in 1..{m}, got {pin_index}")
     elif pin_index is not None or pin_value is not None:
         raise ValueError(f"pin_index/pin_value only apply to strategy 'pin', not {strategy!r}")
 
-    lines = _gather_lines(field.values, axis)
-    out = np.empty_like(lines)
-    unique_count = 0
-    family_count = 0
+    edges, residual, consistent = solve_lines(np.moveaxis(field.values, axis, -1), tolerance)
     max_residual = 0.0
-    for k in range(lines.shape[0]):
-        centers = CenterField1D(grid, lines[k])
-        if not grid.is_odd:
-            # Track the worst |2 S| across lines, whether or not it passes.
-            residual = 2.0 * alternating_residual(centers)
-            max_residual = max(max_residual, abs(residual))
-        outcome = edges_from_centers(centers, tolerance)
-        if isinstance(outcome, Inconsistent):
-            coords = tuple(int(x) for x in np.unravel_index(
-                k, _line_index_shape(field.values.shape, axis)))
+    if not grid.is_odd:
+        if not np.all(consistent):
+            first = int(np.flatnonzero(~consistent)[0])
+            # a 1-D field is one line, at coordinates (0,)
+            coords = tuple(int(x) for x in np.unravel_index(first, residual.shape or (1,)))
+            bad = float(np.ravel(residual)[first])
             raise InconsistentDataError(
                 f"line {coords} along axis {axis} admits no edge solution "
-                f"(residual {outcome.residual:.6g}, tolerance {tolerance:g})",
-                residual=outcome.residual,
+                f"(residual {bad:.6g}, tolerance {tolerance:g})",
+                residual=bad,
                 line_coords=coords,
             )
-        if isinstance(outcome, Unique):
-            unique_count += 1
-            solved = outcome.edges
-        elif strategy == "min-norm":
-            family_count += 1
-            solved = complete_min_norm(outcome)
+        if strategy == "min-norm":
+            edges = min_norm_lines(edges)
         else:
-            family_count += 1
-            solved = outcome.pinned(pin_index, pin_value)
-        out[k] = solved.values
-    result = FieldND(_scatter_lines(out, field.values.shape, axis), staggered_axis=axis)
-    summary = TransformSummary(
-        n_lines=lines.shape[0],
-        unique_lines=unique_count,
-        family_lines=family_count,
-        inconsistent_lines=0,
-        max_residual=max_residual,
-    )
-    return result, summary
-
-
-def _line_index_shape(shape: Tuple[int, ...], axis: int) -> Tuple[int, ...]:
-    """Shape of the line-index space: the field shape without ``axis``.
-
-    A 1-D field has a single line; index it with the one-element shape (1,)
-    so unravel_index still works.
-    """
-    reduced = shape[:axis] + shape[axis + 1:]
-    return reduced if reduced else (1,)
+            edges = pin_lines(edges, pin_index, pin_value)
+        max_residual = float(np.max(np.abs(residual), initial=0.0))
+    result = FieldND(np.moveaxis(check_finite(edges, "edge values"), -1, axis),
+                     staggered_axis=axis)
+    n_lines = field.values.size // m
+    unique = n_lines if grid.is_odd else 0
+    return result, TransformSummary(n_lines=n_lines, unique_lines=unique,
+                                    family_lines=n_lines - unique, inconsistent_lines=0,
+                                    max_residual=max_residual)
 
 
 def to_centers_along(field: FieldND, axis: int) -> Tuple[FieldND, TransformSummary]:
@@ -210,26 +171,16 @@ def to_centers_along(field: FieldND, axis: int) -> Tuple[FieldND, TransformSumma
     The field must be staggered along exactly the requested axis.  Always
     succeeds: averaging is defined for every parity and every line.
     """
-    _check_axis(field, axis)
+    axis = _check_axis(field, axis)
     if field.staggered_axis != axis:
         state = ("fully centered" if field.staggered_axis is None
                  else f"staggered along axis {field.staggered_axis}")
         raise ParityError(
             f"cannot average axis {axis} to centers: field is {state}"
         )
-    m = field.values.shape[axis]
-    grid = PeriodicStagger1D(m + 2)
-    lines = _gather_lines(field.values, axis)
-    out = np.empty_like(lines)
-    for k in range(lines.shape[0]):
-        edges = EdgeField1D(grid, lines[k])
-        out[k] = centers_from_edges(edges).values
-    result = FieldND(_scatter_lines(out, field.values.shape, axis), staggered_axis=None)
-    summary = TransformSummary(
-        n_lines=lines.shape[0],
-        unique_lines=0,
-        family_lines=0,
-        inconsistent_lines=0,
-        max_residual=0.0,
-    )
+    centers = average_lines(np.moveaxis(field.values, axis, -1))
+    result = FieldND(np.moveaxis(centers, -1, axis), staggered_axis=None)
+    summary = TransformSummary(n_lines=field.values.size // field.values.shape[axis],
+                               unique_lines=0, family_lines=0, inconsistent_lines=0,
+                               max_residual=0.0)
     return result, summary

@@ -211,6 +211,16 @@ class TestToEdges:
                        "--output", str(tmp_path / "o.txt"))
         assert proc.returncode == 2
 
+    def test_overflow_exit_2(self, tmp_path):
+        centers = tmp_path / "c.txt"
+        write_centered(centers, [[1.7e308], [-1.7e308], [1.7e308]])
+        proc = run_cli("to-edges", "--input", str(centers), "--axis", "0",
+                       "--n-edges", "5", "--strategy", "unique",
+                       "--output", str(tmp_path / "o.txt"))
+        assert proc.returncode == 2
+        assert proc.stderr.decode().splitlines() == [
+            "error: edge values overflow float64: the input is too large in magnitude"]
+
     def test_custom_tolerance(self, tmp_path):
         centers = tmp_path / "c.txt"
         out = tmp_path / "o.txt"

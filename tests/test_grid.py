@@ -50,6 +50,13 @@ class TestPeriodicStagger1D:
             PeriodicStagger1D(5.0)
         with pytest.raises(ValueError):
             PeriodicStagger1D(True)
+        with pytest.raises(ValueError):
+            PeriodicStagger1D(np.True_)
+
+    def test_accepts_numpy_integers(self):
+        g = PeriodicStagger1D(np.int64(5))
+        assert g.n_edges == 5 and type(g.n_edges) is int
+        assert g.is_odd
 
 
 class TestSolvabilityReport:
@@ -320,6 +327,61 @@ class TestCompletions:
         out = edges_from_centers(exact_centers(PeriodicStagger1D(6), [1, 2, 3, 2]))
         with pytest.raises(ValueError):
             out.pinned(0, 1)
+
+
+class TestLargeData:
+    EPS = float(np.finfo(np.float64).eps)
+
+    def offset_edges(self, m, seed):
+        rng = np.random.default_rng(seed)
+        return EdgeField1D(PeriodicStagger1D(m + 2), 1e6 + rng.standard_normal(m))
+
+    def test_even_offset_data_is_a_family(self):
+        # Centers averaged from edges of mean 1e6 are consistent by
+        # construction; a plain signed dot product for S rejected 4 of these 5.
+        for seed in range(5):
+            edges = self.offset_edges(10**6, seed)
+            assert isinstance(edges_from_centers(centers_from_edges(edges)), Family)
+
+    def test_odd_offset_solve_recovers_planted_edges(self):
+        m = 10**6 - 1  # N = 10^6 + 1
+        for seed in range(5):
+            edges = self.offset_edges(m, seed)
+            out = edges_from_centers(centers_from_edges(edges))
+            assert isinstance(out, Unique)
+            err = np.max(np.abs(out.edges.values - edges.values))
+            assert err <= 16 * m * self.EPS * np.max(np.abs(edges.values))
+
+    def test_overflow_is_reported_as_such(self):
+        with pytest.raises(ValueError, match="overflow float64"):
+            edges_from_centers(CenterField1D(PeriodicStagger1D(5),
+                                             [1.7e308, -1.7e308, 1.7e308]))
+        # consistent even data whose particular solution overflows
+        with pytest.raises(ValueError, match="overflow float64"):
+            edges_from_centers(CenterField1D(PeriodicStagger1D(4), [1.7e308, 1.7e308]))
+
+    def test_averaging_near_the_float64_limit(self):
+        # e_i + e_{i+1} overflows, yet the mean of finite values is finite
+        e = [1.7e308, 1.7e308, -1.7e308, 1e308]
+        c = centers_from_edges(EdgeField1D(PeriodicStagger1D(6), e))
+        exact = [float((Fraction(e[i]) + Fraction(e[(i + 1) % 4])) / 2) for i in range(4)]
+        assert np.array_equal(c.values, exact)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 9])
+def test_exact_outputs_hold_only_fractions(n):
+    grid = PeriodicStagger1D(n)
+    m = grid.n_unknowns
+    edges = EdgeField1D(grid, np.array([Fraction(k * k, 3) for k in range(m)], dtype=object))
+    centers = centers_from_edges(edges)
+    out = edges_from_centers(centers)
+    if grid.is_odd:
+        results = [centers, out.edges]
+    else:
+        results = [centers, out.particular, out.member(Fraction(1, 2)),
+                   complete_min_norm(out), out.pinned(1, 2)]
+    for field in results:
+        assert all(type(v) is Fraction for v in field.values)
 
 
 # -- properties --------------------------------------------------------------

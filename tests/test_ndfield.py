@@ -1,17 +1,31 @@
 """Tests for axis-wise transforms on N-dimensional fields."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from staggrid import (
+    MAX_ORACLE_UNKNOWNS,
+    CenterField1D,
+    Family,
     FieldND,
     InconsistentDataError,
     ParityError,
+    PeriodicStagger1D,
+    Unique,
+    alternating_residual,
+    build_system,
+    complete_min_norm,
+    edges_from_centers,
+    solve_dense,
     to_centers_along,
     to_edges_along,
 )
+
+EPS = float(np.finfo(np.float64).eps)
 
 
 class TestFieldND:
@@ -29,6 +43,18 @@ class TestFieldND:
             FieldND(np.zeros((3, 4)), staggered_axis=-1)
         with pytest.raises(ValueError):
             FieldND(np.zeros((3, 4)), staggered_axis=True)
+        with pytest.raises(ValueError):
+            FieldND(np.zeros((3, 4)), staggered_axis=np.True_)
+
+    def test_numpy_integer_staggered_axis(self):
+        f = FieldND(np.zeros((3, 4)), staggered_axis=np.int64(1))
+        assert f.staggered_axis == 1 and type(f.staggered_axis) is int
+
+    def test_rejects_complex(self):
+        with pytest.raises(ValueError, match="real"):
+            FieldND(np.array([[1 + 2j, 3 + 0j, 2 + 1j]]))
+        with pytest.raises(ValueError, match="real"):
+            FieldND(np.array([1.0, 2.0], dtype=np.complex128))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -152,6 +178,26 @@ class TestToEdges:
             to_edges_along(f, 2, 5, "unique")
         with pytest.raises(ValueError):
             to_edges_along(f, -1, 5, "unique")
+        with pytest.raises(ValueError):
+            to_edges_along(f, np.True_, 5, "unique")
+
+    def test_numpy_integer_axis_and_size(self):
+        f = FieldND(np.tile(np.array([[1.0], [2.0], [3.0]]), (1, 2)))
+        out, summary = to_edges_along(f, np.int64(0), np.int64(5), "unique")
+        assert out.staggered_axis == 0 and type(out.staggered_axis) is int
+        assert np.allclose(out.values[:, 0], [2.0, 0.0, 4.0])
+        back, _ = to_centers_along(out, np.int64(0))
+        assert np.allclose(back.values, f.values)
+
+    def test_overflow_is_reported_as_such(self):
+        f = FieldND(np.array([[1.7e308, -1.7e308, 1.7e308]] * 2))
+        with pytest.raises(ValueError, match="overflow float64"):
+            to_edges_along(f, 1, 5, "unique")
+        f = FieldND(np.full((2, 4), 1.7e308))
+        with pytest.raises(ValueError, match="overflow float64"):
+            to_edges_along(f, 1, 6, "min-norm")
+        big = FieldND(np.full((2, 3), 1.7e308), staggered_axis=0)
+        assert np.array_equal(to_centers_along(big, 0)[0].values, big.values)
 
     def test_unknown_strategy(self):
         f = FieldND(np.zeros((3, 2)))
@@ -220,3 +266,107 @@ def test_nd_round_trip_property(half, n_other, seed):
     back, _ = to_edges_along(centered, 1, m + 2, "unique")
     scale = max(1.0, float(np.max(np.abs(edges))))
     assert np.max(np.abs(back.values - edges)) <= 1e-12 * scale
+
+
+# -- the batched kernel against the per-line 1-D API and the dense oracle ----
+
+@st.composite
+def nd_cases(draw, max_m=20):
+    """(shape, axis, strategy, pin_index) over 1-D to 3-D shapes, every axis."""
+    ndim = draw(st.integers(1, 3))
+    axis = draw(st.integers(0, ndim - 1))
+    m = draw(st.integers(1, max_m))
+    shape = [draw(st.integers(1, 4)) for _ in range(ndim)]
+    shape[axis] = m
+    strategy = "unique" if m % 2 else draw(st.sampled_from(["min-norm", "pin"]))
+    pin_index = draw(st.integers(1, m)) if strategy == "pin" else None
+    return tuple(shape), axis, strategy, pin_index
+
+
+def field_lines(values, axis):
+    """Each line along ``axis``, in C order over the other axes."""
+    return np.moveaxis(values, axis, -1).reshape(-1, values.shape[axis])
+
+
+def solve_line_1d(line, strategy, pin_index, pin_value):
+    outcome = edges_from_centers(CenterField1D(PeriodicStagger1D(line.size + 2), line))
+    if strategy == "unique":
+        return outcome.edges.values
+    if strategy == "min-norm":
+        return complete_min_norm(outcome).values
+    return outcome.pinned(pin_index, pin_value).values
+
+
+@given(nd_cases(), st.integers(0, 2**31 - 1))
+@settings(max_examples=80, deadline=None)
+def test_batched_matches_per_line_1d(case, seed):
+    shape, axis, strategy, pin_index = case
+    m = shape[axis]
+    rng = np.random.default_rng(seed)
+    pin_value = float(rng.normal()) if strategy == "pin" else None
+    centers, _ = to_centers_along(FieldND(rng.normal(size=shape), staggered_axis=axis), axis)
+    out, summary = to_edges_along(centers, axis, m + 2, strategy,
+                                  pin_index=pin_index, pin_value=pin_value)
+    lines = field_lines(centers.values, axis)
+    assert summary.n_lines == lines.shape[0]
+    assert (summary.unique_lines + summary.family_lines + summary.inconsistent_lines
+            == summary.n_lines)
+    assert summary.unique_lines == (summary.n_lines if m % 2 else 0)
+    residuals = [abs(2 * alternating_residual(CenterField1D(PeriodicStagger1D(m + 2), line)))
+                 for line in lines]
+    assert summary.max_residual == (0.0 if m % 2 else max(residuals))
+    for got, line in zip(field_lines(out.values, axis), lines):
+        want = solve_line_1d(line, strategy, pin_index, pin_value)
+        assert np.max(np.abs(got - want)) <= 16 * m * EPS * max(1.0, np.max(np.abs(want)))
+
+
+@given(nd_cases(max_m=12), st.integers(0, 2**31 - 1))
+@settings(max_examples=40, deadline=None)
+def test_batched_matches_dense_oracle(case, seed):
+    shape, axis, strategy, pin_index = case
+    assert shape[axis] <= MAX_ORACLE_UNKNOWNS
+    m = shape[axis]
+    rng = np.random.default_rng(seed)
+    # eighths: the centers are exact in float64, so even-M data is exactly consistent
+    planted = rng.integers(-64, 65, size=shape) / 8.0
+    pin_value = float(rng.integers(-64, 65)) / 8.0 if strategy == "pin" else None
+    centers, _ = to_centers_along(FieldND(planted, staggered_axis=axis), axis)
+    out, _ = to_edges_along(centers, axis, m + 2, strategy,
+                            pin_index=pin_index, pin_value=pin_value)
+    for got, line in zip(field_lines(out.values, axis), field_lines(centers.values, axis)):
+        dense = solve_dense(build_system(CenterField1D(PeriodicStagger1D(m + 2), line)))
+        if strategy == "unique":
+            assert isinstance(dense, Unique)
+            want = list(dense.edges.values)
+        else:
+            assert isinstance(dense, Family)
+            p, n = list(dense.particular.values), list(dense.null_direction)
+            if strategy == "min-norm":
+                t = -sum(a * b for a, b in zip(p, n)) / m
+            else:
+                t = (Fraction(pin_value) - p[pin_index - 1]) / n[pin_index - 1]
+            want = [a + t * b for a, b in zip(p, n)]
+        want = np.array([float(v) for v in want])
+        assert np.max(np.abs(got - want)) <= 16 * m * EPS * max(1.0, np.max(np.abs(want)))
+
+
+@given(nd_cases(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_first_inconsistent_line_in_c_order(case, data):
+    shape, axis, _, _ = case
+    m = shape[axis]
+    if m % 2:
+        shape = shape[:axis] + (m + 1,) + shape[axis + 1:]
+        m += 1
+    other = shape[:axis] + shape[axis + 1:]
+    n_lines = int(np.prod(other))
+    broken = data.draw(st.sets(st.integers(0, n_lines - 1), min_size=1, max_size=n_lines))
+    centers = np.ones(shape)
+    moved = np.moveaxis(centers, axis, -1)          # a view: writes reach ``centers``
+    for k in broken:
+        moved[np.unravel_index(k, other) if other else ()][m - 1] += 1.0
+    with pytest.raises(InconsistentDataError) as info:
+        to_edges_along(FieldND(centers), axis, m + 2, "min-norm")
+    first = min(broken)
+    assert info.value.line_coords == tuple(int(x) for x in np.unravel_index(first, other or (1,)))
+    assert info.value.residual == 2.0
