@@ -11,7 +11,8 @@ Commands:
 
 Exit codes: 0 success, 1 audit found disagreements, 2 usage error, 3 field
 file cannot be parsed, 4 strategy/parity mismatch, 5 center data is
-inconsistent (no edge solution exists).
+inconsistent (no edge solution exists).  The library checks every input;
+``main`` only maps its exception types to these codes.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from .exact import MAX_ORACLE_UNKNOWNS
 from .fieldio import read_field, write_field
 from .grid import DEFAULT_TOLERANCE, solvability_report
 from .ndfield import STRATEGIES, to_centers_along, to_edges_along
-
-_MAX_AUDIT_EDGES = MAX_ORACLE_UNKNOWNS + 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_audit.add_argument("n_min", type=int, help="smallest edge count (at least 3)")
     p_audit.add_argument("n_max", type=int,
-                         help=f"largest edge count (at most {_MAX_AUDIT_EDGES})")
+                         help=f"largest edge count (at most {MAX_ORACLE_UNKNOWNS + 2})")
     p_audit.add_argument("--format", choices=("text", "structured"), default="text",
                          help="text lines or JSON (default text)")
     p_audit.set_defaults(func=_cmd_audit)
@@ -86,9 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_classify(args, parser: argparse.ArgumentParser) -> int:
-    if args.n_edges < 3:
-        parser.error(f"n_edges must be at least 3, got {args.n_edges}")
+def _cmd_classify(args) -> int:
     report = solvability_report(args.n_edges)
     print(f"n_edges {report.n_edges}")
     print(f"n_unknowns {report.n_unknowns}")
@@ -99,13 +96,7 @@ def _cmd_classify(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _cmd_to_edges(args, parser: argparse.ArgumentParser) -> int:
-    if args.strategy == "pin":
-        if args.pin_index is None or args.pin_value is None:
-            parser.error("strategy 'pin' requires --pin-index and --pin-value")
-    elif args.pin_index is not None or args.pin_value is not None:
-        parser.error(f"--pin-index/--pin-value only apply to --strategy pin, "
-                     f"not {args.strategy!r}")
+def _cmd_to_edges(args) -> int:
     field = read_field(args.input)
     result, summary = to_edges_along(
         field, args.axis, args.n_edges, args.strategy,
@@ -118,7 +109,7 @@ def _cmd_to_edges(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _cmd_to_centers(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_to_centers(args) -> int:
     field = read_field(args.input)
     result, summary = to_centers_along(field, args.axis)
     write_field(args.output, result)
@@ -126,13 +117,7 @@ def _cmd_to_centers(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _cmd_audit(args, parser: argparse.ArgumentParser) -> int:
-    if args.n_min < 3:
-        parser.error(f"n_min must be at least 3, got {args.n_min}")
-    if args.n_max < args.n_min:
-        parser.error(f"n_max must be >= n_min, got {args.n_min}..{args.n_max}")
-    if args.n_max > _MAX_AUDIT_EDGES:
-        parser.error(f"n_max must be at most {_MAX_AUDIT_EDGES}, got {args.n_max}")
+def _cmd_audit(args) -> int:
     report = build_audit_report(args.n_min, args.n_max)
     rendered = render_text(report) if args.format == "text" else render_json(report)
     sys.stdout.write(rendered)
@@ -143,7 +128,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args, parser)
+        return args.func(args)
     except SystemExit as exc:
         # argparse exits on usage errors (code 2) and on --help (code 0);
         # fold both into the return-an-int contract.

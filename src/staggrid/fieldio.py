@@ -71,16 +71,8 @@ def read_field(path: Union[str, os.PathLike]) -> FieldND:
         raise FieldFormatError(f"field file {path}: ndim must be >= 1, got {ndim}")
     shape = _header_shape(path, lines[2], ndim)
     axis_token = _header_token(path, lines[3], "staggered-axis")
-    if axis_token == "none":
-        staggered_axis = None
-    else:
-        try:
-            staggered_axis = int(axis_token)
-        except ValueError:
-            raise FieldFormatError(
-                f"field file {path}: staggered-axis must be 'none' or an integer, "
-                f"got {axis_token!r}"
-            ) from None
+    staggered_axis = (None if axis_token == "none" else
+                      _plain_int(path, axis_token, "staggered-axis other than 'none'"))
     count = _header_int(path, lines[4], "count")
     expected = 1
     for n in shape:
@@ -97,6 +89,13 @@ def read_field(path: Union[str, os.PathLike]) -> FieldND:
         raise FieldFormatError(
             f"field file {path}: expected {count} values, found {len(body)}"
         )
+    # float() would also accept digit separators and surrounding blanks, so
+    # scan the body text for them once; a value never contains any.  Text
+    # mode has turned every line break into one character.
+    start = sum(len(line) + 1 for line in lines[:5])
+    if any(raw.find(ch, start) >= 0 for ch in "_ \t"):
+        k = next(k for k, token in enumerate(body) if any(ch in token for ch in "_ \t"))
+        raise FieldFormatError(f"field file {path}: bad value on line {6 + k}: {body[k]!r}")
     values = np.empty(count, dtype=np.float64)
     for k, token in enumerate(body):
         try:
@@ -120,14 +119,15 @@ def _header_token(path, line: str, key: str) -> str:
     return parts[1]
 
 
+def _plain_int(path, token: str, key: str) -> int:
+    """A header integer: plain ASCII digits only, unlike int()."""
+    if not token.isdigit():
+        raise FieldFormatError(f"field file {path}: {key} must be plain digits, got {token!r}")
+    return int(token)
+
+
 def _header_int(path, line: str, key: str) -> int:
-    token = _header_token(path, line, key)
-    try:
-        return int(token)
-    except ValueError:
-        raise FieldFormatError(
-            f"field file {path}: {key} must be an integer, got {token!r}"
-        ) from None
+    return _plain_int(path, _header_token(path, line, key), key)
 
 
 def _header_shape(path, line: str, ndim: int):
@@ -138,12 +138,7 @@ def _header_shape(path, line: str, ndim: int):
         raise FieldFormatError(
             f"field file {path}: shape lists {len(parts) - 1} extents but ndim is {ndim}"
         )
-    try:
-        shape = tuple(int(p) for p in parts[1:])
-    except ValueError:
-        raise FieldFormatError(
-            f"field file {path}: shape entries must be integers, got {line!r}"
-        ) from None
+    shape = tuple(_plain_int(path, p, "shape") for p in parts[1:])
     if any(n < 1 for n in shape):
         raise FieldFormatError(f"field file {path}: shape extents must be >= 1")
     return shape

@@ -95,12 +95,25 @@ class PeriodicStagger1D:
         return "odd" if self.is_odd else "even"
 
 
+def checked_floats(values) -> np.ndarray:
+    """``values`` as a new float64 array: real and finite, else ValueError."""
+    raw = np.asarray(values)
+    if np.iscomplexobj(raw):
+        raise ValueError(f"values must be real, got dtype {raw.dtype}")
+    arr = np.array(raw, dtype=np.float64)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        k = int(np.flatnonzero(~finite)[0])
+        raise ValueError(f"non-finite value at flat index {k}: {arr.flat[k]!r}")
+    return arr
+
+
 def _coerce_values(values, expected_len: int) -> np.ndarray:
     """Normalize a value sequence to a 1-D array of float64 or Fraction.
 
     Object input (anything containing a Fraction) selects exact mode; all
-    entries are then coerced to Fraction.  Everything else must convert to
-    finite float64.
+    entries are then coerced to Fraction.  Everything else goes through
+    :func:`checked_floats`.
     """
     arr = np.asarray(values)
     if arr.ndim != 1:
@@ -123,11 +136,7 @@ def _coerce_values(values, expected_len: int) -> np.ndarray:
             else:
                 raise ValueError(f"cannot use {type(v).__name__} value at index {k}")
         return out
-    out = np.array(arr, dtype=np.float64)
-    if not np.all(np.isfinite(out)):
-        bad = int(np.flatnonzero(~np.isfinite(out))[0])
-        raise ValueError(f"non-finite value at index {bad}: {out[bad]!r}")
-    return out
+    return checked_floats(arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,8 +200,7 @@ class Family:
     def member(self, t) -> EdgeField1D:
         """The family member at parameter value t."""
         p = self.particular
-        t = Fraction(t) if p.exact else float(t)
-        return _edge_field(p.grid, _shift(p.values, t))
+        return _edge_field(p.grid, _shift(p.values, _family_parameter(t, p.exact, "t")))
 
     def pinned(self, pin_index: int, pin_value) -> EdgeField1D:
         """The single member with e_{pin_index} = pin_value (1-based index)."""
@@ -294,6 +302,17 @@ def _shift(e: np.ndarray, t) -> np.ndarray:
     return out
 
 
+def _family_parameter(value, exact: bool, name: str):
+    """A family parameter as a Fraction in exact mode, else a finite float."""
+    try:
+        out = Fraction(value) if exact else float(value)
+        if exact or np.isfinite(out):
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be a finite real number, got {value!r}")
+
+
 def _validate_tolerance(tolerance: float) -> float:
     tolerance = float(tolerance)
     if not np.isfinite(tolerance) or tolerance < 0.0:
@@ -339,14 +358,10 @@ def min_norm_lines(p: np.ndarray) -> np.ndarray:
 def pin_lines(p: np.ndarray, pin_index: int, pin_value) -> np.ndarray:
     """The member of each family with e_{pin_index} = pin_value (1-based)."""
     m = p.shape[-1]
+    pin_index = checked_int(pin_index, "pin index")
     if not 1 <= pin_index <= m:
         raise ValueError(f"pin index must be in 1..{m}, got {pin_index}")
-    if p.dtype == object:
-        pin_value = Fraction(pin_value)
-    else:
-        pin_value = float(pin_value)
-        if not np.isfinite(pin_value):
-            raise ValueError(f"pin value must be finite, got {pin_value!r}")
+    pin_value = _family_parameter(pin_value, p.dtype == object, "pin value")
     k = pin_index - 1
     return _shift(p, (pin_value - p[..., k]) * (-1 if k % 2 else 1))
 

@@ -24,6 +24,7 @@ from .grid import (
     PeriodicStagger1D,
     average_lines,
     check_finite,
+    checked_floats,
     checked_int,
     min_norm_lines,
     pin_lines,
@@ -32,6 +33,14 @@ from .grid import (
 
 #: Completion strategies accepted by :func:`to_edges_along`.
 STRATEGIES = ("unique", "min-norm", "pin")
+
+
+def _checked_axis(axis, ndim: int, name: str = "axis") -> int:
+    """``axis`` as an int in 0..ndim-1, else ValueError."""
+    axis = checked_int(axis, name)
+    if not 0 <= axis < ndim:
+        raise ValueError(f"{name} {axis} out of range for {ndim}-dimensional field")
+    return axis
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,21 +55,12 @@ class FieldND:
     staggered_axis: Optional[int] = None
 
     def __post_init__(self) -> None:
-        raw = np.asarray(self.values)
-        if np.iscomplexobj(raw):
-            raise ValueError(f"field values must be real, got dtype {raw.dtype}")
-        arr = np.array(raw, dtype=np.float64)
+        arr = checked_floats(self.values)
         if arr.ndim < 1:
             raise ValueError("field must have at least one dimension")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("field contains non-finite values")
         if self.staggered_axis is not None:
-            ax = checked_int(self.staggered_axis, "staggered_axis")
-            if not 0 <= ax < arr.ndim:
-                raise ValueError(
-                    f"staggered_axis {ax} out of range for {arr.ndim}-dimensional field"
-                )
-            object.__setattr__(self, "staggered_axis", ax)
+            axis = _checked_axis(self.staggered_axis, arr.ndim, "staggered_axis")
+            object.__setattr__(self, "staggered_axis", axis)
         object.__setattr__(self, "values", arr)
 
     @property
@@ -84,15 +84,6 @@ class TransformSummary:
     max_residual: float
 
 
-def _check_axis(field: FieldND, axis) -> int:
-    axis = checked_int(axis, "axis")
-    if not 0 <= axis < field.values.ndim:
-        raise ValueError(
-            f"axis {axis} out of range for {field.values.ndim}-dimensional field"
-        )
-    return axis
-
-
 def to_edges_along(field: FieldND, axis: int, n_edges: int, strategy: str,
                    tolerance: float = DEFAULT_TOLERANCE,
                    pin_index: Optional[int] = None,
@@ -108,7 +99,7 @@ def to_edges_along(field: FieldND, axis: int, n_edges: int, strategy: str,
     multi-index of the first such line, in C order, in ``line_coords``.
     Edges that overflow float64 raise ValueError.
     """
-    axis = _check_axis(field, axis)
+    axis = _checked_axis(axis, field.values.ndim)
     if field.staggered_axis is not None:
         raise ParityError(
             f"field is already staggered along axis {field.staggered_axis}; "
@@ -171,7 +162,7 @@ def to_centers_along(field: FieldND, axis: int) -> Tuple[FieldND, TransformSumma
     The field must be staggered along exactly the requested axis.  Always
     succeeds: averaging is defined for every parity and every line.
     """
-    axis = _check_axis(field, axis)
+    axis = _checked_axis(axis, field.values.ndim)
     if field.staggered_axis != axis:
         state = ("fully centered" if field.staggered_axis is None
                  else f"staggered along axis {field.staggered_axis}")

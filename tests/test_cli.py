@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from staggrid import FieldND, read_field, write_field
+from staggrid import (FieldND, build_audit_report, read_field, solvability_report,
+                      to_edges_along, write_field)
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -234,6 +235,16 @@ class TestToEdges:
                         "--tol", "1e-4", "--output", str(out))
         assert loose.returncode == 0
 
+    def test_pin_without_flags_on_odd_n_is_a_parity_error(self, tmp_path):
+        # the library's parity gate runs before its pin-flag rule
+        centers = tmp_path / "c.txt"
+        write_centered(centers, [[1.0], [2.0], [3.0]])
+        proc = run_cli("to-edges", "--input", str(centers), "--axis", "0",
+                       "--n-edges", "5", "--strategy", "pin",
+                       "--output", str(tmp_path / "o.txt"))
+        assert proc.returncode == 4
+        assert b"odd" in proc.stderr
+
 
 class TestToCenters:
     def test_wrong_axis_exit_4(self, tmp_path):
@@ -260,6 +271,22 @@ class TestUsage:
 
     def test_help_exits_zero(self):
         assert run_cli("--help").returncode == 0
+
+    @pytest.mark.parametrize("args,library_call", [
+        (("classify", "2"), lambda: solvability_report(2)),
+        (("audit", "3", "67"), lambda: build_audit_report(3, 67)),
+        (("to-edges", "--input", "{tmp}/c.txt", "--axis", "0", "--n-edges", "6",
+          "--strategy", "pin", "--output", "{tmp}/o.txt"),
+         lambda: to_edges_along(FieldND(np.ones((4, 1))), 0, 6, "pin")),
+    ])
+    def test_library_value_errors_exit_2(self, tmp_path, args, library_call):
+        write_centered(tmp_path / "c.txt", [[1.0], [2.0], [3.0], [2.0]])
+        with pytest.raises(ValueError) as info:
+            library_call()
+        proc = run_cli(*(a.format(tmp=tmp_path) for a in args))
+        assert proc.returncode == 2
+        assert proc.stderr.decode().splitlines() == [f"error: {info.value}"]
+        assert not (tmp_path / "o.txt").exists()
 
     def test_main_returns_int_instead_of_raising(self):
         from staggrid.cli import main

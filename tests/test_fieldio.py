@@ -1,5 +1,7 @@
 """Tests for the plain-text field file format."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,24 @@ class TestReadErrors:
         with pytest.raises(FieldFormatError) as info:
             read_field(p)
         assert "line 7" in str(info.value)
+
+    @pytest.mark.parametrize("token", ["1_0", "  2.5  ", "2.5 ", "\t2.5", "-1_000.5"])
+    def test_rejects_values_float_would_accept(self, tmp_path, token):
+        p = write_lines(tmp_path, ["staggrid-field 1", "ndim 1", "shape 3",
+                                   "staggered-axis none", "count 3", "1.0", "2.0", token])
+        with pytest.raises(FieldFormatError, match=re.escape(f"line 8: {token!r}")):
+            read_field(p)
+
+    @pytest.mark.parametrize("header,bad", [
+        (["ndim 1", "shape 1_0", "staggered-axis none", "count 10"], "shape"),
+        (["ndim 1", "shape 10", "staggered-axis none", "count 1_0"], "count"),
+        (["ndim 1", "shape 10", "staggered-axis +0", "count 10"], "staggered-axis"),
+        (["ndim +1", "shape 10", "staggered-axis none", "count 10"], "ndim"),
+    ])
+    def test_header_integers_are_plain_digits(self, tmp_path, header, bad):
+        p = write_lines(tmp_path, ["staggrid-field 1", *header] + ["1.0"] * 10)
+        with pytest.raises(FieldFormatError, match=f": {bad} .*must be plain digits"):
+            read_field(p)
 
     def test_non_finite_value(self, tmp_path):
         p = write_lines(tmp_path, ["staggrid-field 1", "ndim 1", "shape 2",

@@ -91,6 +91,13 @@ class TestFields:
         with pytest.raises(ValueError):
             EdgeField1D(g, [1.0, np.inf, 3.0])
 
+    def test_rejects_complex(self):
+        g = PeriodicStagger1D(5)
+        with pytest.raises(ValueError, match="real"):
+            CenterField1D(g, np.array([1 + 2j, 3, 2]))
+        with pytest.raises(ValueError, match="real"):
+            EdgeField1D(g, np.array([1.0, 2.0, 3.0], dtype=np.complex128))
+
     def test_rejects_multidimensional(self):
         with pytest.raises(ValueError):
             CenterField1D(PeriodicStagger1D(4), np.zeros((2, 1)))
@@ -327,6 +334,30 @@ class TestCompletions:
         out = edges_from_centers(exact_centers(PeriodicStagger1D(6), [1, 2, 3, 2]))
         with pytest.raises(ValueError):
             out.pinned(0, 1)
+
+    def test_pin_index_must_be_an_int(self):
+        c = CenterField1D(PeriodicStagger1D(6), [1.0, 2.0, 3.0, 2.0])
+        family = edges_from_centers(c)
+        for bad in (2.5, "2"):
+            with pytest.raises(ValueError, match="pin index"):
+                family.pinned(bad, 1.0)
+            with pytest.raises(ValueError, match="pin index"):
+                complete_pinned(c, bad, 1.0)
+        assert list(family.pinned(np.int64(2), 2.0).values) == [0.0, 2.0, 2.0, 4.0]
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_family_parameters_must_be_finite(self, exact):
+        ints = [1, 2, 3, 2]
+        c = (exact_centers(PeriodicStagger1D(6), ints) if exact
+             else CenterField1D(PeriodicStagger1D(6), [float(v) for v in ints]))
+        family = edges_from_centers(c)
+        for bad in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError, match="^t must be a finite"):
+                family.member(bad)
+            with pytest.raises(ValueError, match="^pin value must be a finite"):
+                family.pinned(1, bad)
+            with pytest.raises(ValueError, match="^pin value must be a finite"):
+                complete_pinned(c, 1, bad)
 
 
 class TestLargeData:

@@ -216,6 +216,14 @@ class TestToEdges:
         with pytest.raises(ValueError):
             to_edges_along(f5, 0, 5, "unique", pin_index=1)
 
+    def test_pin_index_must_be_an_int(self):
+        f = FieldND(np.tile(np.array([[1.0], [2.0], [3.0], [2.0]]), (1, 2)))
+        for bad in (2.5, "2"):
+            with pytest.raises(ValueError, match="pin index"):
+                to_edges_along(f, 0, 6, "pin", pin_index=bad, pin_value=1.0)
+        out, _ = to_edges_along(f, 0, 6, "pin", pin_index=np.int64(2), pin_value=2.0)
+        assert np.array_equal(out.values[:, 1], [0.0, 2.0, 2.0, 4.0])
+
 
 class TestToCenters:
     def test_averages_with_wrap(self):
