@@ -38,16 +38,6 @@ _Matrix = Tuple[Tuple[int, ...], ...]
 _FracRow = Tuple[Fraction, ...]
 
 
-def _to_fraction(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return Fraction(int(v))
-    if isinstance(v, (float, np.floating)):
-        return Fraction(float(v))
-    raise TypeError(f"cannot convert {type(v).__name__} to Fraction")
-
-
 def _cyclic_pattern(m: int) -> _Matrix:
     """The M x M coefficient pattern of e_i + e_{i+1} = 2 c_i with wrap.
 
@@ -117,7 +107,7 @@ def build_system(centers: CenterField1D, *,
         raise ValueError(
             f"dense oracle capped at {max_unknowns} unknowns; got m={m}"
         )
-    rhs = tuple(2 * _to_fraction(v) for v in centers.values)
+    rhs = tuple(2 * Fraction(v) for v in centers.values)
     return DenseSystem(m, _cyclic_pattern(m), rhs)
 
 

@@ -96,14 +96,18 @@ def read_field(path: Union[str, os.PathLike]) -> FieldND:
     if any(raw.find(ch, start) >= 0 for ch in "_ \t"):
         k = next(k for k, token in enumerate(body) if any(ch in token for ch in "_ \t"))
         raise FieldFormatError(f"field file {path}: bad value on line {6 + k}: {body[k]!r}")
-    values = np.empty(count, dtype=np.float64)
-    for k, token in enumerate(body):
-        try:
-            values[k] = float(token)
-        except ValueError:
-            raise FieldFormatError(
-                f"field file {path}: bad value on line {6 + k}: {token!r}"
-            ) from None
+    try:
+        values = np.array(body, dtype=np.float64)
+    except ValueError:
+        # numpy parses what float() parses; float() finds the line to name
+        for k, token in enumerate(body):
+            try:
+                float(token)
+            except ValueError:
+                raise FieldFormatError(
+                    f"field file {path}: bad value on line {6 + k}: {token!r}"
+                ) from None
+        raise
     try:
         return FieldND(values.reshape(shape), staggered_axis=staggered_axis)
     except ValueError as exc:

@@ -84,7 +84,7 @@ class PeriodicStagger1D:
     @property
     def n_centers(self) -> int:
         """Count of independent center values; equals n_unknowns."""
-        return self.n_edges - 2
+        return self.n_unknowns
 
     @property
     def is_odd(self) -> bool:
@@ -96,10 +96,10 @@ class PeriodicStagger1D:
 
 
 def checked_floats(values) -> np.ndarray:
-    """``values`` as a new float64 array: real and finite, else ValueError."""
+    """``values`` as a new float64 array: integers or floats, all finite, else ValueError."""
     raw = np.asarray(values)
-    if np.iscomplexobj(raw):
-        raise ValueError(f"values must be real, got dtype {raw.dtype}")
+    if raw.dtype.kind not in "iuf":
+        raise ValueError(f"values must be real numbers, got dtype {raw.dtype}")
     arr = np.array(raw, dtype=np.float64)
     finite = np.isfinite(arr)
     if not finite.all():
@@ -140,27 +140,8 @@ def _coerce_values(values, expected_len: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class CenterField1D:
-    """Values c_1..c_M at the independent cell centers of a periodic grid."""
-
-    grid: PeriodicStagger1D
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _coerce_values(self.values, self.grid.n_centers))
-
-    @property
-    def exact(self) -> bool:
-        return self.values.dtype == object
-
-
-@dataclass(frozen=True, eq=False)
-class EdgeField1D:
-    """Values e_1..e_M at the independent cell edges of a periodic grid.
-
-    The periodic images e_{N-1} = e_1 and e_N = e_2 are never stored; use
-    :meth:`with_periodic_images` when the full length-N array is needed.
-    """
+class _Field1D:
+    """Values at the M independent centers or edges of a periodic grid."""
 
     grid: PeriodicStagger1D
     values: np.ndarray
@@ -171,6 +152,20 @@ class EdgeField1D:
     @property
     def exact(self) -> bool:
         return self.values.dtype == object
+
+
+@dataclass(frozen=True, eq=False)
+class CenterField1D(_Field1D):
+    """Values c_1..c_M at the independent cell centers of a periodic grid."""
+
+
+@dataclass(frozen=True, eq=False)
+class EdgeField1D(_Field1D):
+    """Values e_1..e_M at the independent cell edges of a periodic grid.
+
+    The periodic images e_{N-1} = e_1 and e_N = e_2 are never stored; use
+    :meth:`with_periodic_images` when the full length-N array is needed.
+    """
 
     def with_periodic_images(self) -> np.ndarray:
         """Full periodic edge array (e_1, ..., e_M, e_1, e_2) of length N."""
@@ -200,7 +195,7 @@ class Family:
     def member(self, t) -> EdgeField1D:
         """The family member at parameter value t."""
         p = self.particular
-        return _edge_field(p.grid, _shift(p.values, _family_parameter(t, p.exact, "t")))
+        return _edge_field(p.grid, _shift(p.values, _finite_number(t, p.exact, "t")))
 
     def pinned(self, pin_index: int, pin_value) -> EdgeField1D:
         """The single member with e_{pin_index} = pin_value (1-based index)."""
@@ -302,9 +297,11 @@ def _shift(e: np.ndarray, t) -> np.ndarray:
     return out
 
 
-def _family_parameter(value, exact: bool, name: str):
-    """A family parameter as a Fraction in exact mode, else a finite float."""
+def _finite_number(value, exact: bool, name: str):
+    """``value`` as a Fraction in exact mode, else as a finite float."""
     try:
+        if isinstance(value, np.floating):
+            value = float(value)
         out = Fraction(value) if exact else float(value)
         if exact or np.isfinite(out):
             return out
@@ -313,10 +310,10 @@ def _family_parameter(value, exact: bool, name: str):
     raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
-def _validate_tolerance(tolerance: float) -> float:
-    tolerance = float(tolerance)
-    if not np.isfinite(tolerance) or tolerance < 0.0:
-        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance!r}")
+def _validate_tolerance(tolerance) -> float:
+    tolerance = _finite_number(tolerance, False, "tolerance")
+    if tolerance < 0.0:
+        raise ValueError(f"tolerance must be >= 0, got {tolerance!r}")
     return tolerance
 
 
@@ -326,10 +323,9 @@ def solve_lines(c: np.ndarray, tolerance: float = DEFAULT_TOLERANCE):
     Returns ``(edges, residual, consistent)``: for odd M the unique edges,
     None, None.  For even M, 2 S and the test |2 S| <= tolerance *
     max(1, max|c|) (S == 0 for Fractions) per line, and the particulars
-    with e_1 = 0, or None if any line fails.  Callers check their final
-    edges once with :func:`check_finite`.
+    with e_1 = 0, or None if any line fails.  Callers validate
+    ``tolerance`` and check their final edges once with :func:`check_finite`.
     """
-    tolerance = _validate_tolerance(tolerance)
     exact = c.dtype == object
     with np.errstate(over="ignore", invalid="ignore"):  # check_finite reports it
         s = alternating_sums(c)
@@ -361,9 +357,64 @@ def pin_lines(p: np.ndarray, pin_index: int, pin_value) -> np.ndarray:
     pin_index = checked_int(pin_index, "pin index")
     if not 1 <= pin_index <= m:
         raise ValueError(f"pin index must be in 1..{m}, got {pin_index}")
-    pin_value = _family_parameter(pin_value, p.dtype == object, "pin value")
+    pin_value = _finite_number(pin_value, p.dtype == object, "pin value")
     k = pin_index - 1
     return _shift(p, (pin_value - p[..., k]) * (-1 if k % 2 else 1))
+
+
+#: Completion strategies accepted by :func:`complete_lines`.
+STRATEGIES = ("unique", "min-norm", "pin")
+
+
+def complete_lines(c: np.ndarray, strategy: str, tolerance: float = DEFAULT_TOLERANCE,
+                   pin_index=None, pin_value=None):
+    """``(edges, residual)`` of every line of ``c``: edges completed by
+    ``strategy``, and 2 S per line, or None for odd N = M + 2.
+
+    "unique" needs odd N, "min-norm" and "pin" need even N, else
+    ParityError; "pin", and only "pin", takes pin_index and pin_value.  The
+    first line in C order failing the even-N consistency test raises
+    InconsistentDataError with its index in ``line_coords`` (a 1-D ``c`` is
+    line (0,)).  Edges that overflow float64 raise ValueError.
+    """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    n_edges = c.shape[-1] + 2
+    odd = n_edges % 2 == 1
+    if (strategy == "unique") != odd:
+        need, parity = ("even", "odd") if odd else ("odd", "even")
+        raise ParityError(
+            f"strategy {strategy!r} needs an {need} edge count; N={n_edges} is {parity}")
+    if strategy == "pin":
+        if pin_index is None or pin_value is None:
+            raise ValueError("strategy 'pin' requires pin_index and pin_value")
+    elif pin_index is not None or pin_value is not None:
+        raise ValueError(f"pin_index/pin_value only apply to strategy 'pin', not {strategy!r}")
+
+    tolerance = _validate_tolerance(tolerance)
+    edges, residual, consistent = solve_lines(c, tolerance)
+    if not odd:
+        if not np.all(consistent):
+            first = int(np.flatnonzero(np.logical_not(consistent))[0])
+            coords = tuple(int(x) for x in np.unravel_index(first, np.shape(residual) or (1,)))
+            bad = np.ravel(residual).tolist()[first]   # a float, or a Fraction
+            raise InconsistentDataError(
+                f"line {coords} admits no edge solution "
+                f"(residual {bad}, tolerance {tolerance:g})",
+                residual=bad, line_coords=coords)
+        if strategy == "min-norm":
+            edges = min_norm_lines(edges)
+        else:
+            edges = pin_lines(edges, pin_index, pin_value)
+    try:
+        return check_finite(edges, "edge values"), residual
+    except ValueError:
+        if not odd:
+            raise
+    # The odd recurrence forms 2 P_k, which can overflow where the edges do not.
+    with np.errstate(over="ignore"):  # check_finite reports it
+        edges = solve_lines(c / 64, tolerance)[0] * 64  # a power-of-two scale is exact
+    return check_finite(edges, "edge values"), residual
 
 
 def average_lines(e: np.ndarray) -> np.ndarray:
@@ -425,13 +476,14 @@ def edges_from_centers(centers: CenterField1D,
     :class:`Family` when the alternating residual passes the consistency
     test (|2 S| <= tolerance * max(1, max|c|) in floating mode, S == 0 in
     exact mode) and :class:`Inconsistent` otherwise.  The family particular
-    is the member with e_1 = 0.  Raises ValueError when the float solve
-    overflows.
+    is the member with e_1 = 0.  Raises ValueError when the edges (or that
+    particular) overflow float64.
     """
     grid = centers.grid
-    edges, residual, consistent = solve_lines(centers.values, tolerance)
     if grid.is_odd:
-        return Unique(_edge_field(grid, edges))
+        edges, _ = complete_lines(centers.values, "unique", tolerance)
+        return Unique(_kernel_field(EdgeField1D, grid, edges))
+    edges, residual, consistent = solve_lines(centers.values, _validate_tolerance(tolerance))
     if not consistent:
         return Inconsistent(residual if centers.exact else float(residual))
     particular = _edge_field(grid, edges)
@@ -467,14 +519,5 @@ def complete_pinned(centers: CenterField1D, pin_index: int, pin_value,
     ParityError on odd N (there is nothing to pin: the solution is unique)
     and InconsistentDataError when no solution exists at all.
     """
-    if centers.grid.is_odd:
-        raise ParityError(
-            f"pinning needs an even edge count; N={centers.grid.n_edges} has a unique solution"
-        )
-    outcome = edges_from_centers(centers, tolerance)
-    if isinstance(outcome, Inconsistent):
-        raise InconsistentDataError(
-            f"cannot pin an inconsistent system (residual {outcome.residual!r})",
-            residual=outcome.residual,
-        )
-    return outcome.pinned(pin_index, pin_value)
+    edges, _ = complete_lines(centers.values, "pin", tolerance, pin_index, pin_value)
+    return _kernel_field(EdgeField1D, centers.grid, edges)

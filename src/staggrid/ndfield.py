@@ -18,21 +18,16 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import InconsistentDataError, ParityError
+from .errors import ParityError
+from .grid import STRATEGIES  # noqa: F401  (re-exported: the CLI's --strategy choices)
 from .grid import (
     DEFAULT_TOLERANCE,
     PeriodicStagger1D,
     average_lines,
-    check_finite,
     checked_floats,
     checked_int,
-    min_norm_lines,
-    pin_lines,
-    solve_lines,
+    complete_lines,
 )
-
-#: Completion strategies accepted by :func:`to_edges_along`.
-STRATEGIES = ("unique", "min-norm", "pin")
 
 
 def _checked_axis(axis, ndim: int, name: str = "axis") -> int:
@@ -92,10 +87,10 @@ def to_edges_along(field: FieldND, axis: int, n_edges: int, strategy: str,
     """Recover edge values along one axis of a fully centered field.
 
     The axis extent must equal n_edges - 2.  ``strategy`` selects how each
-    line's solution is produced and is checked against the grid parity up
-    front: "unique" needs odd n_edges, "min-norm" and "pin" need even
-    n_edges ("pin" also needs pin_index and pin_value).  Any line failing
-    the even-N consistency test raises InconsistentDataError carrying the
+    line's solution is produced, through :func:`staggrid.grid.complete_lines`:
+    "unique" needs odd n_edges, "min-norm" and "pin" need even n_edges
+    ("pin" also needs pin_index and pin_value).  Any line failing the
+    even-N consistency test raises InconsistentDataError carrying the
     multi-index of the first such line, in C order, in ``line_coords``.
     Edges that overflow float64 raise ValueError.
     """
@@ -105,8 +100,6 @@ def to_edges_along(field: FieldND, axis: int, n_edges: int, strategy: str,
             f"field is already staggered along axis {field.staggered_axis}; "
             "edge recovery needs a fully centered field"
         )
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     grid = PeriodicStagger1D(n_edges)
     m = grid.n_unknowns
     if field.values.shape[axis] != m:
@@ -114,43 +107,12 @@ def to_edges_along(field: FieldND, axis: int, n_edges: int, strategy: str,
             f"axis {axis} has extent {field.values.shape[axis]} but n_edges={n_edges} "
             f"implies {m} centers"
         )
-    if strategy == "unique" and not grid.is_odd:
-        raise ParityError(
-            f"strategy 'unique' needs an odd edge count; N={n_edges} is even"
-        )
-    if strategy in ("min-norm", "pin") and grid.is_odd:
-        raise ParityError(
-            f"strategy {strategy!r} needs an even edge count; N={n_edges} is odd"
-        )
-    if strategy == "pin":
-        if pin_index is None or pin_value is None:
-            raise ValueError("strategy 'pin' requires pin_index and pin_value")
-    elif pin_index is not None or pin_value is not None:
-        raise ValueError(f"pin_index/pin_value only apply to strategy 'pin', not {strategy!r}")
-
-    edges, residual, consistent = solve_lines(np.moveaxis(field.values, axis, -1), tolerance)
-    max_residual = 0.0
-    if not grid.is_odd:
-        if not np.all(consistent):
-            first = int(np.flatnonzero(~consistent)[0])
-            # a 1-D field is one line, at coordinates (0,)
-            coords = tuple(int(x) for x in np.unravel_index(first, residual.shape or (1,)))
-            bad = float(np.ravel(residual)[first])
-            raise InconsistentDataError(
-                f"line {coords} along axis {axis} admits no edge solution "
-                f"(residual {bad:.6g}, tolerance {tolerance:g})",
-                residual=bad,
-                line_coords=coords,
-            )
-        if strategy == "min-norm":
-            edges = min_norm_lines(edges)
-        else:
-            edges = pin_lines(edges, pin_index, pin_value)
-        max_residual = float(np.max(np.abs(residual), initial=0.0))
-    result = FieldND(np.moveaxis(check_finite(edges, "edge values"), -1, axis),
-                     staggered_axis=axis)
+    edges, residual = complete_lines(np.moveaxis(field.values, axis, -1), strategy,
+                                     tolerance, pin_index, pin_value)
+    result = FieldND(np.moveaxis(edges, -1, axis), staggered_axis=axis)
     n_lines = field.values.size // m
     unique = n_lines if grid.is_odd else 0
+    max_residual = 0.0 if residual is None else float(np.max(np.abs(residual), initial=0.0))
     return result, TransformSummary(n_lines=n_lines, unique_lines=unique,
                                     family_lines=n_lines - unique, inconsistent_lines=0,
                                     max_residual=max_residual)

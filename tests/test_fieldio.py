@@ -109,6 +109,19 @@ class TestReadErrors:
             read_field(p)
         assert "line 7" in str(info.value)
 
+    def test_names_the_first_bad_value(self, tmp_path):
+        body = ["1.0", "2.0", "0x1p3", "3.0", "zap", "4.0"]
+        p = write_lines(tmp_path, ["staggrid-field 1", "ndim 2", "shape 2 3",
+                                   "staggered-axis none", "count 6", *body])
+        with pytest.raises(FieldFormatError, match=re.escape("line 8: '0x1p3'")):
+            read_field(p)
+
+    def test_accepts_what_float_accepts(self, tmp_path):
+        body = ["1e-3", "+.5", "-0", "1E+2", "5.", "007"]
+        p = write_lines(tmp_path, ["staggrid-field 1", "ndim 1", "shape 6",
+                                   "staggered-axis none", "count 6", *body])
+        assert read_field(p).values.tolist() == [float(t) for t in body]
+
     @pytest.mark.parametrize("token", ["1_0", "  2.5  ", "2.5 ", "\t2.5", "-1_000.5"])
     def test_rejects_values_float_would_accept(self, tmp_path, token):
         p = write_lines(tmp_path, ["staggrid-field 1", "ndim 1", "shape 3",

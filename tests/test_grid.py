@@ -98,6 +98,25 @@ class TestFields:
         with pytest.raises(ValueError, match="real"):
             EdgeField1D(g, np.array([1.0, 2.0, 3.0], dtype=np.complex128))
 
+    @pytest.mark.parametrize("values", [["1", "2", "3"], [True, False, True],
+                                        np.array([b"1", b"2", b"3"])])
+    def test_rejects_strings_and_bools(self, values):
+        g = PeriodicStagger1D(5)
+        with pytest.raises(ValueError, match="real numbers"):
+            CenterField1D(g, values)
+        with pytest.raises(ValueError, match="real numbers"):
+            EdgeField1D(g, values)
+
+    def test_field_types_share_one_body(self):
+        g = PeriodicStagger1D(5)
+        c, e = CenterField1D(g, [1, 2, 3]), EdgeField1D(g, [1, 2, 3])
+        assert CenterField1D.__post_init__ is EdgeField1D.__post_init__
+        # each type keeps an __init__ of its own, for wrappers that time it
+        assert "__init__" in vars(CenterField1D) and "__init__" in vars(EdgeField1D)
+        assert not isinstance(c, EdgeField1D) and not isinstance(e, CenterField1D)
+        assert repr(c).startswith("CenterField1D(") and repr(e).startswith("EdgeField1D(")
+        assert np.array_equal(c.values, e.values) and not c.exact
+
     def test_rejects_multidimensional(self):
         with pytest.raises(ValueError):
             CenterField1D(PeriodicStagger1D(4), np.zeros((2, 1)))
@@ -261,6 +280,16 @@ class TestEvenSolve:
         with pytest.raises(ValueError):
             edges_from_centers(c, tolerance=np.nan)
 
+    @pytest.mark.parametrize("tolerance", [None, "tight", [1e-10], 1j])
+    def test_tolerance_must_be_a_number(self, tolerance):
+        odd = CenterField1D(PeriodicStagger1D(5), [1.0, 2.0, 3.0])
+        even = CenterField1D(PeriodicStagger1D(6), [1.0, 2.0, 3.0, 2.0])
+        for c in (odd, even):
+            with pytest.raises(ValueError, match="^tolerance must be a finite"):
+                edges_from_centers(c, tolerance=tolerance)
+        with pytest.raises(ValueError, match="^tolerance must be a finite"):
+            complete_pinned(even, 1, 0.0, tolerance=tolerance)
+
 
 class TestCompletions:
     def test_min_norm_example(self):
@@ -359,6 +388,19 @@ class TestCompletions:
             with pytest.raises(ValueError, match="^pin value must be a finite"):
                 complete_pinned(c, 1, bad)
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_family_parameters_may_be_numpy_floats(self, exact):
+        ints = [1, 2, 3, 2]
+        c = (exact_centers(PeriodicStagger1D(6), ints) if exact
+             else CenterField1D(PeriodicStagger1D(6), [float(v) for v in ints]))
+        family = edges_from_centers(c)
+        for t in (np.float32(1.5), np.float16(1.5), np.float64(1.5), np.longdouble(1.5)):
+            assert list(family.member(t).values) == [1.5, 0.5, 3.5, 2.5]
+            assert list(family.pinned(1, t).values) == [1.5, 0.5, 3.5, 2.5]
+            assert list(complete_pinned(c, 1, t).values) == [1.5, 0.5, 3.5, 2.5]
+        if exact:
+            assert all(isinstance(v, Fraction) for v in family.member(np.float32(1.5)).values)
+
 
 class TestLargeData:
     EPS = float(np.finfo(np.float64).eps)
@@ -390,6 +432,23 @@ class TestLargeData:
         # consistent even data whose particular solution overflows
         with pytest.raises(ValueError, match="overflow float64"):
             edges_from_centers(CenterField1D(PeriodicStagger1D(4), [1.7e308, 1.7e308]))
+
+    def test_odd_solve_near_the_float64_limit(self):
+        # the recurrence forms 2 P_k = 3.4e308, yet every edge is representable
+        out = edges_from_centers(CenterField1D(PeriodicStagger1D(5), [1.7e308] * 3))
+        assert isinstance(out, Unique)
+        assert out.edges.values.tolist() == [1.7e308] * 3
+        g = PeriodicStagger1D(7)
+        big = centers_from_edges(EdgeField1D(g, [1.7e308, 1.5e308, 1.6e308, 1.2e308, 1.7e308]))
+        out = edges_from_centers(big)
+        exact = edges_from_centers(CenterField1D(g, np.array([Fraction(v) for v in big.values],
+                                                             dtype=object)))
+        assert np.allclose(out.edges.values, [float(v) for v in exact.edges.values],
+                           rtol=4 * self.EPS, atol=0.0)
+        # edges that really exceed float64 still raise
+        with pytest.raises(ValueError, match="overflow float64"):
+            edges_from_centers(CenterField1D(PeriodicStagger1D(5),
+                                             [1.7e308, -1.7e308, 1.7e308]))
 
     def test_averaging_near_the_float64_limit(self):
         # e_i + e_{i+1} overflows, yet the mean of finite values is finite

@@ -19,6 +19,7 @@ from staggrid import (
     alternating_residual,
     build_system,
     complete_min_norm,
+    complete_pinned,
     edges_from_centers,
     solve_dense,
     to_centers_along,
@@ -55,6 +56,13 @@ class TestFieldND:
             FieldND(np.array([[1 + 2j, 3 + 0j, 2 + 1j]]))
         with pytest.raises(ValueError, match="real"):
             FieldND(np.array([1.0, 2.0], dtype=np.complex128))
+
+    @pytest.mark.parametrize("values", [np.array(["1.5", "2"]), [True, False, True],
+                                        np.array([Fraction(1, 3), Fraction(2)], dtype=object),
+                                        np.array([1.0, 2.0], dtype=object)])
+    def test_rejects_strings_bools_and_objects(self, values):
+        with pytest.raises(ValueError, match="real numbers"):
+            FieldND(values)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -223,6 +231,69 @@ class TestToEdges:
                 to_edges_along(f, 0, 6, "pin", pin_index=bad, pin_value=1.0)
         out, _ = to_edges_along(f, 0, 6, "pin", pin_index=np.int64(2), pin_value=2.0)
         assert np.array_equal(out.values[:, 1], [0.0, 2.0, 2.0, 4.0])
+
+    @pytest.mark.parametrize("tolerance", [None, "tight"])
+    def test_tolerance_must_be_a_number(self, tolerance):
+        for n_edges, strategy in ((5, "unique"), (6, "min-norm")):
+            f = FieldND(np.ones((n_edges - 2, 2)))
+            with pytest.raises(ValueError, match="^tolerance must be a finite"):
+                to_edges_along(f, 0, n_edges, strategy, tolerance=tolerance)
+
+    def test_unique_near_the_float64_limit(self):
+        # the recurrence forms 2 P_k = 3.4e308, yet every edge is representable
+        out, _ = to_edges_along(FieldND(np.full((2, 3), 1.7e308)), 1, 5, "unique")
+        assert out.values.tolist() == [[1.7e308] * 3] * 2
+        f = FieldND(np.array([[1.7e308] * 3, [1.7e308, -1.7e308, 1.7e308]]))
+        with pytest.raises(ValueError, match="overflow float64"):
+            to_edges_along(f, 1, 5, "unique")
+
+
+class TestSharedErrorContract:
+    """complete_pinned and to_edges_along(..., "pin") go through one gate."""
+
+    @staticmethod
+    def both(ints, exact):
+        grid = PeriodicStagger1D(len(ints) + 2)
+        c = CenterField1D(grid, np.array([Fraction(v) for v in ints], dtype=object)
+                          if exact else [float(v) for v in ints])
+        return c, FieldND(np.array(ints, dtype=np.float64))
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_odd_n_is_a_parity_error(self, exact):
+        c, f = self.both([1, 2, 3], exact)
+        with pytest.raises(ParityError) as one:
+            complete_pinned(c, 1, 0.0)
+        with pytest.raises(ParityError) as nd:
+            to_edges_along(f, 0, 5, "pin", pin_index=1, pin_value=0.0)
+        assert str(one.value) == str(nd.value)
+        # without pin flags it is still the parity error
+        with pytest.raises(ParityError):
+            complete_pinned(c, None, None)
+        with pytest.raises(ParityError):
+            to_edges_along(f, 0, 5, "pin")
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_inconsistent_data(self, exact):
+        c, f = self.both([1, 2, 3, 5], exact)
+        with pytest.raises(InconsistentDataError) as one:
+            complete_pinned(c, 1, 0.0)
+        with pytest.raises(InconsistentDataError) as nd:
+            to_edges_along(f, 0, 6, "pin", pin_index=1, pin_value=0.0)
+        assert type(one.value.residual) is (Fraction if exact else float)
+        assert type(nd.value.residual) is float
+        assert one.value.residual == nd.value.residual == 6
+        assert one.value.line_coords == nd.value.line_coords == (0,)
+        message = "line (0,) admits no edge solution (residual {}, tolerance 1e-10)"
+        assert str(one.value) == message.format(Fraction(6) if exact else 6.0)
+        assert str(nd.value) == message.format(6.0)
+
+    def test_first_failing_line_is_named(self):
+        vals = np.tile(np.array([[1.0], [2.0], [3.0], [2.0]]), (1, 3))
+        vals[3, 1:] = 5.0
+        with pytest.raises(InconsistentDataError) as info:
+            to_edges_along(FieldND(vals), 0, 6, "pin", pin_index=1, pin_value=0.0)
+        assert info.value.line_coords == (1,)
+        assert type(info.value.residual) is float and info.value.residual == 6.0
 
 
 class TestToCenters:
