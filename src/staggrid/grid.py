@@ -276,16 +276,17 @@ def alternating_sums(c: np.ndarray):
 def _telescope(first, c: np.ndarray) -> np.ndarray:
     """Edges of every line from e_1 = first and e_{i+1} = 2 c_i - e_i.
 
-    The recurrence telescopes to e_k = (-1)^(k-1) (e_1 - 2 P_k) with
+    The recurrence telescopes to e_k = (-1)^(k-1) 2 (e_1 / 2 - P_k) with
     P_k = sum_{j<k} (-1)^(j-1) c_j, which is one cumulative sum per line.
+    |e_1 / 2 - P_k| = |e_k| / 2, so no step overflows where the edges fit.
     """
     alt = _checkerboard(c.shape[-1])
     e = np.zeros_like(c)
     np.multiply(alt[:-1], c[..., :-1], out=e[..., 1:])
     np.cumsum(e[..., 1:], axis=-1, out=e[..., 1:])
-    e *= -2
-    e += np.asarray(first)[..., None]
+    np.subtract(np.asarray(first)[..., None] / 2, e, out=e)
     e *= alt
+    e *= 2
     return e
 
 
@@ -406,14 +407,6 @@ def complete_lines(c: np.ndarray, strategy: str, tolerance: float = DEFAULT_TOLE
             edges = min_norm_lines(edges)
         else:
             edges = pin_lines(edges, pin_index, pin_value)
-    try:
-        return check_finite(edges, "edge values"), residual
-    except ValueError:
-        if not odd:
-            raise
-    # The odd recurrence forms 2 P_k, which can overflow where the edges do not.
-    with np.errstate(over="ignore"):  # check_finite reports it
-        edges = solve_lines(c / 64, tolerance)[0] * 64  # a power-of-two scale is exact
     return check_finite(edges, "edge values"), residual
 
 
@@ -480,10 +473,9 @@ def edges_from_centers(centers: CenterField1D,
     particular) overflow float64.
     """
     grid = centers.grid
-    if grid.is_odd:
-        edges, _ = complete_lines(centers.values, "unique", tolerance)
-        return Unique(_kernel_field(EdgeField1D, grid, edges))
     edges, residual, consistent = solve_lines(centers.values, _validate_tolerance(tolerance))
+    if grid.is_odd:
+        return Unique(_edge_field(grid, edges))
     if not consistent:
         return Inconsistent(residual if centers.exact else float(residual))
     particular = _edge_field(grid, edges)

@@ -279,16 +279,14 @@ class TestEvenSolve:
             edges_from_centers(c, tolerance=-1.0)
         with pytest.raises(ValueError):
             edges_from_centers(c, tolerance=np.nan)
-
-    @pytest.mark.parametrize("tolerance", [None, "tight", [1e-10], 1j])
-    def test_tolerance_must_be_a_number(self, tolerance):
+        # a tolerance that is not a number at all, on both parities and the pin path
         odd = CenterField1D(PeriodicStagger1D(5), [1.0, 2.0, 3.0])
-        even = CenterField1D(PeriodicStagger1D(6), [1.0, 2.0, 3.0, 2.0])
-        for c in (odd, even):
+        for tolerance in (None, "tight", [1e-10], 1j):
+            for centers in (odd, c):
+                with pytest.raises(ValueError, match="^tolerance must be a finite"):
+                    edges_from_centers(centers, tolerance=tolerance)
             with pytest.raises(ValueError, match="^tolerance must be a finite"):
-                edges_from_centers(c, tolerance=tolerance)
-        with pytest.raises(ValueError, match="^tolerance must be a finite"):
-            complete_pinned(even, 1, 0.0, tolerance=tolerance)
+                complete_pinned(c, 1, 0.0, tolerance=tolerance)
 
 
 class TestCompletions:
@@ -434,7 +432,7 @@ class TestLargeData:
             edges_from_centers(CenterField1D(PeriodicStagger1D(4), [1.7e308, 1.7e308]))
 
     def test_odd_solve_near_the_float64_limit(self):
-        # the recurrence forms 2 P_k = 3.4e308, yet every edge is representable
+        # 2 P_k = 3.4e308 would overflow, yet every edge is representable
         out = edges_from_centers(CenterField1D(PeriodicStagger1D(5), [1.7e308] * 3))
         assert isinstance(out, Unique)
         assert out.edges.values.tolist() == [1.7e308] * 3
@@ -445,10 +443,6 @@ class TestLargeData:
                                                              dtype=object)))
         assert np.allclose(out.edges.values, [float(v) for v in exact.edges.values],
                            rtol=4 * self.EPS, atol=0.0)
-        # edges that really exceed float64 still raise
-        with pytest.raises(ValueError, match="overflow float64"):
-            edges_from_centers(CenterField1D(PeriodicStagger1D(5),
-                                             [1.7e308, -1.7e308, 1.7e308]))
 
     def test_averaging_near_the_float64_limit(self):
         # e_i + e_{i+1} overflows, yet the mean of finite values is finite
