@@ -28,6 +28,10 @@ from .fieldio import read_field, write_field
 from .grid import DEFAULT_TOLERANCE, solvability_report
 from .ndfield import STRATEGIES, to_centers_along, to_edges_along
 
+#: Exit code of each error type, most specific first: the first match wins.
+_EXIT_CODES = ((FieldFormatError, 3), (ParityError, 4), (InconsistentDataError, 5),
+               (ValueError, 2), (OSError, 3))
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -136,18 +140,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if code is None:
             return 0
         return code if isinstance(code, int) else 2
-    except FieldFormatError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ParityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except InconsistentDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))

@@ -35,6 +35,8 @@ module state, so concurrent use on distinct values needs no locking.
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -96,11 +98,20 @@ class PeriodicStagger1D:
 
 
 def checked_floats(values) -> np.ndarray:
-    """``values`` as a new float64 array: integers or floats, all finite, else ValueError."""
+    """``values`` as a new float64 array of integers or floats, each finite and
+    held exactly (the rule of :func:`_finite_number`), else ValueError."""
     raw = np.asarray(values)
     if raw.dtype.kind not in "iuf":
         raise ValueError(f"values must be real numbers, got dtype {raw.dtype}")
-    arr = np.array(raw, dtype=np.float64)
+    with np.errstate(over="ignore"):  # a long double beyond float64 is reported below
+        arr = np.array(raw, dtype=np.float64)
+    if raw.dtype.kind in "iu":
+        # integers up to 2^53 in magnitude convert exactly; compare the rest as ints
+        big = np.flatnonzero(np.abs(arr) >= 2.0**53)
+        for k, v, f in zip(big.tolist(), raw.flat[big].tolist(), arr.flat[big].tolist()):
+            if int(f) != v:
+                raise ValueError(f"value at flat index {k} has no exact float64 value: {v}")
+        return arr
     finite = np.isfinite(arr)
     if not finite.all():
         k = int(np.flatnonzero(~finite)[0])
@@ -111,9 +122,9 @@ def checked_floats(values) -> np.ndarray:
 def _coerce_values(values, expected_len: int) -> np.ndarray:
     """Normalize a value sequence to a 1-D array of float64 or Fraction.
 
-    Object input (anything containing a Fraction) selects exact mode; all
-    entries are then coerced to Fraction.  Everything else goes through
-    :func:`checked_floats`.
+    Object input (anything containing a Fraction) selects exact mode; every
+    entry then goes through :func:`_finite_number`.  Everything else goes
+    through :func:`checked_floats`.
     """
     arr = np.asarray(values)
     if arr.ndim != 1:
@@ -123,19 +134,8 @@ def _coerce_values(values, expected_len: int) -> np.ndarray:
             f"length mismatch: grid expects {expected_len} values, got {arr.shape[0]}"
         )
     if arr.dtype == object:
-        out = np.empty(expected_len, dtype=object)
-        for k, v in enumerate(arr):
-            if isinstance(v, Fraction):
-                out[k] = v
-            elif isinstance(v, (int, np.integer)):
-                out[k] = Fraction(int(v))
-            elif isinstance(v, (float, np.floating)):
-                if not np.isfinite(v):
-                    raise ValueError(f"non-finite value at index {k}: {v!r}")
-                out[k] = Fraction(float(v))
-            else:
-                raise ValueError(f"cannot use {type(v).__name__} value at index {k}")
-        return out
+        return np.array([_finite_number(v, True, f"value at index {k}")
+                         for k, v in enumerate(arr)], dtype=object)
     return checked_floats(arr)
 
 
@@ -195,7 +195,8 @@ class Family:
     def member(self, t) -> EdgeField1D:
         """The family member at parameter value t."""
         p = self.particular
-        return _edge_field(p.grid, _shift(p.values, _finite_number(t, p.exact, "t")))
+        with np.errstate(over="ignore", invalid="ignore"):  # check_finite reports it
+            return _edge_field(p.grid, _shift(p.values, _finite_number(t, p.exact, "t")))
 
     def pinned(self, pin_index: int, pin_value) -> EdgeField1D:
         """The single member with e_{pin_index} = pin_value (1-based index)."""
@@ -293,21 +294,23 @@ def _telescope(first, c: np.ndarray) -> np.ndarray:
 def _shift(e: np.ndarray, t) -> np.ndarray:
     """Family members e + t * checkerboard, with one t per line."""
     out = np.asarray(t)[..., None] * _checkerboard(e.shape[-1])
-    with np.errstate(over="ignore", invalid="ignore"):  # check_finite reports it
-        out += e
+    out += e
     return out
 
 
 def _finite_number(value, exact: bool, name: str):
-    """``value`` as a Fraction in exact mode, else as a finite float."""
-    try:
-        if isinstance(value, np.floating):
-            value = float(value)
-        out = Fraction(value) if exact else float(value)
-        if exact or np.isfinite(out):
-            return out
-    except (TypeError, ValueError, OverflowError):
-        pass
+    """``value``, any real number but a bool, as a Fraction in exact mode, else
+    as a finite float equal to it (compared as ints for an integer, so one
+    that float64 cannot hold is refused, not rounded); else ValueError."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        integral = isinstance(value, numbers.Integral)
+        num = int(value) if integral else float(value) if isinstance(value, np.floating) else value
+        try:
+            out = Fraction(num) if exact else float(num)
+            if exact or (math.isfinite(out) and (not integral or int(out) == num)):
+                return out
+        except (ValueError, OverflowError):
+            pass
     raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
@@ -322,8 +325,8 @@ def solve_lines(c: np.ndarray, tolerance: float = DEFAULT_TOLERANCE):
     """Solve e_i + e_{i+1} = 2 c_i on every line of ``c``.
 
     Returns ``(edges, residual, consistent)``: for odd M the unique edges,
-    None, None.  For even M, 2 S and the test |2 S| <= tolerance *
-    max(1, max|c|) (S == 0 for Fractions) per line, and the particulars
+    None, None.  For even M, 2 S and the test |2 S| <= tolerance * max|c|
+    (S == 0 for Fractions) per line, and the particulars
     with e_1 = 0, or None if any line fails.  Callers validate
     ``tolerance`` and check their final edges once with :func:`check_finite`.
     """
@@ -336,8 +339,7 @@ def solve_lines(c: np.ndarray, tolerance: float = DEFAULT_TOLERANCE):
         if exact:
             consistent = residual == 0
         else:
-            scale = np.maximum(1.0, np.max(np.abs(c), axis=-1))
-            consistent = np.abs(residual) <= tolerance * scale
+            consistent = np.abs(residual) <= tolerance * np.max(np.abs(c), axis=-1)
         if not np.all(consistent):
             return None, residual, consistent
         return _telescope(Fraction(0) if exact else 0.0, c), residual, consistent
@@ -349,7 +351,8 @@ def min_norm_lines(p: np.ndarray) -> np.ndarray:
     t* = -<p, null> / M makes the result orthogonal to the null direction;
     for even M, -<p, null> is the alternating sum S of p.
     """
-    return _shift(p, alternating_sums(p) / p.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # check_finite reports it
+        return _shift(p, alternating_sums(p) / p.shape[-1])
 
 
 def pin_lines(p: np.ndarray, pin_index: int, pin_value) -> np.ndarray:
@@ -360,7 +363,8 @@ def pin_lines(p: np.ndarray, pin_index: int, pin_value) -> np.ndarray:
         raise ValueError(f"pin index must be in 1..{m}, got {pin_index}")
     pin_value = _finite_number(pin_value, p.dtype == object, "pin value")
     k = pin_index - 1
-    return _shift(p, (pin_value - p[..., k]) * (-1 if k % 2 else 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # check_finite reports it
+        return _shift(p, (pin_value - p[..., k]) * (-1 if k % 2 else 1))
 
 
 #: Completion strategies accepted by :func:`complete_lines`.
@@ -428,18 +432,18 @@ def average_lines(e: np.ndarray) -> np.ndarray:
 # -- the 1-D API: a batch of one ---------------------------------------------
 
 
-def _kernel_field(cls, grid: PeriodicStagger1D, values: np.ndarray):
-    """A field holding new kernel output, which has the grid's length and
-    number type already: the constructor's coercion and copy are skipped."""
+def _kernel_field(cls, **fields):
+    """A field of type ``cls`` holding new, already checked kernel output: the
+    constructor's checks and copy are skipped.  Every kernel result is one."""
     field = object.__new__(cls)
-    object.__setattr__(field, "grid", grid)
-    object.__setattr__(field, "values", values)
+    for name, value in fields.items():
+        object.__setattr__(field, name, value)
     return field
 
 
 def _edge_field(grid: PeriodicStagger1D, values: np.ndarray) -> EdgeField1D:
     """Kernel edges as a field, after their one check for float overflow."""
-    return _kernel_field(EdgeField1D, grid, check_finite(values, "edge values"))
+    return _kernel_field(EdgeField1D, grid=grid, values=check_finite(values, "edge values"))
 
 
 def centers_from_edges(edges: EdgeField1D) -> CenterField1D:
@@ -447,7 +451,7 @@ def centers_from_edges(edges: EdgeField1D) -> CenterField1D:
 
     The wrap e_{M+1} = e_1 realizes the periodic image e_{N-1} = e_1.
     """
-    return _kernel_field(CenterField1D, edges.grid, average_lines(edges.values))
+    return _kernel_field(CenterField1D, grid=edges.grid, values=average_lines(edges.values))
 
 
 def alternating_residual(centers: CenterField1D):
@@ -467,8 +471,8 @@ def edges_from_centers(centers: CenterField1D,
 
     Odd N always yields :class:`Unique` in O(M).  Even N yields
     :class:`Family` when the alternating residual passes the consistency
-    test (|2 S| <= tolerance * max(1, max|c|) in floating mode, S == 0 in
-    exact mode) and :class:`Inconsistent` otherwise.  The family particular
+    test (|2 S| <= tolerance * max|c| in floating mode, S == 0 in exact
+    mode) and :class:`Inconsistent` otherwise.  The family particular
     is the member with e_1 = 0.  Raises ValueError when the edges (or that
     particular) overflow float64.
     """
@@ -512,4 +516,4 @@ def complete_pinned(centers: CenterField1D, pin_index: int, pin_value,
     and InconsistentDataError when no solution exists at all.
     """
     edges, _ = complete_lines(centers.values, "pin", tolerance, pin_index, pin_value)
-    return _kernel_field(EdgeField1D, centers.grid, edges)
+    return _kernel_field(EdgeField1D, grid=centers.grid, values=edges)

@@ -23,6 +23,7 @@ from .grid import STRATEGIES  # noqa: F401  (re-exported: the CLI's --strategy c
 from .grid import (
     DEFAULT_TOLERANCE,
     PeriodicStagger1D,
+    _kernel_field,
     average_lines,
     checked_floats,
     checked_int,
@@ -43,7 +44,8 @@ class FieldND:
     """Dense N-dimensional float field with at most one staggered axis.
 
     ``staggered_axis`` is None for a fully centered field, or the index of
-    the axis whose extent counts independent edge values.
+    the axis whose extent counts independent edge values.  The constructor
+    checks and copies outside input; the transforms wrap their new results.
     """
 
     values: np.ndarray
@@ -109,7 +111,7 @@ def to_edges_along(field: FieldND, axis: int, n_edges: int, strategy: str,
         )
     edges, residual = complete_lines(np.moveaxis(field.values, axis, -1), strategy,
                                      tolerance, pin_index, pin_value)
-    result = FieldND(np.moveaxis(edges, -1, axis), staggered_axis=axis)
+    result = _kernel_field(FieldND, values=np.moveaxis(edges, -1, axis), staggered_axis=axis)
     n_lines = field.values.size // m
     unique = n_lines if grid.is_odd else 0
     max_residual = 0.0 if residual is None else float(np.max(np.abs(residual), initial=0.0))
@@ -132,7 +134,7 @@ def to_centers_along(field: FieldND, axis: int) -> Tuple[FieldND, TransformSumma
             f"cannot average axis {axis} to centers: field is {state}"
         )
     centers = average_lines(np.moveaxis(field.values, axis, -1))
-    result = FieldND(np.moveaxis(centers, -1, axis), staggered_axis=None)
+    result = _kernel_field(FieldND, values=np.moveaxis(centers, -1, axis), staggered_axis=None)
     summary = TransformSummary(n_lines=field.values.size // field.values.shape[axis],
                                unique_lines=0, family_lines=0, inconsistent_lines=0,
                                max_residual=0.0)

@@ -160,6 +160,16 @@ class TestToEdges:
                        "--output", str(tmp_path / "o.txt"))
         assert proc.returncode == 3
 
+    def test_unwritable_output_exit_3(self, tmp_path):
+        # an OSError from the write, not a parse error, still maps to 3
+        centers = tmp_path / "c.txt"
+        write_centered(centers, [[1.0], [2.0], [3.0]])
+        proc = run_cli("to-edges", "--input", str(centers), "--axis", "0",
+                       "--n-edges", "5", "--strategy", "unique",
+                       "--output", str(tmp_path / "no-such-dir" / "o.txt"))
+        assert proc.returncode == 3
+        assert proc.stderr.startswith(b"error: ")
+
     def test_parity_mismatch_exit_4(self, tmp_path):
         centers = tmp_path / "c.txt"
         write_centered(centers, [[1.0], [2.0], [3.0]])

@@ -1,5 +1,6 @@
 """Unit and property tests for the 1-D grid types and transforms."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from staggrid import (
     CenterField1D,
     EdgeField1D,
     Family,
+    FieldND,
     Inconsistent,
     InconsistentDataError,
     ParityError,
@@ -135,6 +137,28 @@ class TestFields:
         cf = CenterField1D(g, mixed)
         assert cf.values[1] == Fraction(2)
         assert cf.values[2] == Fraction(1, 2)
+
+    def test_rejects_integers_float64_cannot_hold(self):
+        g = PeriodicStagger1D(4)
+        for cls in (CenterField1D, EdgeField1D):
+            with pytest.raises(ValueError, match="no exact float64 value: 9007199254740993"):
+                cls(g, np.array([2**53 + 1, 1]))
+        held = CenterField1D(g, np.array([2**53, -2**63])).values
+        assert [int(v) for v in held] == [2**53, -2**63]
+
+    def test_exact_mode_rejects_bools(self):
+        g = PeriodicStagger1D(5)
+        must = "must be a finite real number, got"
+        with pytest.raises(ValueError, match=f"^value at index 1 {must} True"):
+            CenterField1D(g, np.array([Fraction(1), True, False], dtype=object))
+        with pytest.raises(ValueError, match=f"^value at index 2 {must} '3'"):
+            EdgeField1D(g, np.array([Fraction(1), 2, "3"], dtype=object))
+
+    def test_exact_mode_holds_large_integers_exactly(self):
+        cf = CenterField1D(PeriodicStagger1D(5), np.array([Fraction(1), 2**53 + 1, np.int64(-3)],
+                                                          dtype=object))
+        assert list(cf.values) == [1, 2**53 + 1, -3]
+        assert all(type(v) is Fraction and type(v.numerator) is int for v in cf.values)
 
     def test_periodic_images(self):
         g = PeriodicStagger1D(6)
@@ -265,6 +289,14 @@ class TestEvenSolve:
         big = CenterField1D(g, [1e8, 2e8, 3e8, 2e8 + 1e-4])
         assert isinstance(edges_from_centers(big), Family)
 
+    def test_consistency_test_is_relative_at_every_scale(self):
+        g = PeriodicStagger1D(6)
+        # |2 S| = 2 max|c|: exactly inconsistent, however small the data
+        assert isinstance(edges_from_centers(CenterField1D(g, [1e-11, 0.0, 0.0, 0.0])),
+                          Inconsistent)
+        # an all-zero line has threshold 0 and S = 0: still consistent
+        assert isinstance(edges_from_centers(CenterField1D(g, [0.0] * 4)), Family)
+
     def test_exact_mode_ignores_tolerance(self):
         g = PeriodicStagger1D(6)
         c = CenterField1D(g, np.array([Fraction(1), Fraction(2), Fraction(3),
@@ -386,6 +418,20 @@ class TestCompletions:
             with pytest.raises(ValueError, match="^pin value must be a finite"):
                 complete_pinned(c, 1, bad)
 
+    def test_parameters_must_be_numbers_float64_holds(self):
+        c = CenterField1D(PeriodicStagger1D(6), [1.0, 2.0, 3.0, 2.0])
+        with pytest.raises(ValueError, match="^tolerance must be a finite real number, got '1e-3"):
+            edges_from_centers(c, tolerance="1e-3")
+        family = edges_from_centers(c)
+        for bad in ("1.5", b"1", True, np.True_, 2**53 + 1, np.int64(2**53 + 1)):
+            with pytest.raises(ValueError, match="^t must be a finite real number"):
+                family.member(bad)
+            with pytest.raises(ValueError, match="^pin value must be a finite real number"):
+                family.pinned(1, bad)
+            with pytest.raises(ValueError, match="^pin value must be a finite real number"):
+                complete_pinned(c, 1, bad)
+        assert family.member(2**53).values[0] == 2.0**53
+
     @pytest.mark.parametrize("exact", [False, True])
     def test_family_parameters_may_be_numpy_floats(self, exact):
         ints = [1, 2, 3, 2]
@@ -443,6 +489,19 @@ class TestLargeData:
                                                              dtype=object)))
         assert np.allclose(out.edges.values, [float(v) for v in exact.edges.values],
                            rtol=4 * self.EPS, atol=0.0)
+
+    def test_completions_near_the_float64_limit_raise_no_warning(self):
+        # the particular (0, 1.7e308, -1.7e308, 1.7e308) is finite, but its
+        # alternating sum and the pin shift overflow: ValueError, not a numpy warning
+        c = CenterField1D(PeriodicStagger1D(6), [0.85e308, 0.0, 0.0, 0.85e308])
+        family = edges_from_centers(c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for complete in (lambda: complete_min_norm(family),
+                             lambda: family.pinned(2, -1.7e308),
+                             lambda: complete_pinned(c, 2, -1.7e308)):
+                with pytest.raises(ValueError, match="overflow float64"):
+                    complete()
 
     def test_averaging_near_the_float64_limit(self):
         # e_i + e_{i+1} overflows, yet the mean of finite values is finite
@@ -589,3 +648,50 @@ def test_min_norm_is_orthogonal_projection(half, seed):
     for t in rng.uniform(-5.0, 5.0, size=20):
         other = out.member(t)
         assert np.linalg.norm(other.values) >= np.linalg.norm(best.values) * (1 - 1e-12)
+
+
+@st.composite
+def scalable_lines(draw):
+    """Even-M centers with every nonzero |c| in [2^-41, 2^40]: random, or the
+    averages of random edges (consistent up to rounding)."""
+    m = 2 * draw(st.integers(1, 10))
+    entries = st.builds(lambda k, e: k * 2.0**e, st.integers(-2**12, 2**12), st.integers(-40, 28))
+    values = np.array(draw(st.lists(entries, min_size=m, max_size=m)))
+    if draw(st.booleans()):
+        values = (values + np.roll(values, -1)) / 2
+    return values
+
+
+@given(scalable_lines(), st.integers(-900, 900))
+@settings(max_examples=200, deadline=None)
+def test_classification_is_scale_invariant(c, k):
+    """c and 2^k c classify alike: every nonzero |c| 2^k stays in [2^-960, 2^960],
+    so the scaling is exact, and the consistency test has no absolute floor."""
+    grid = PeriodicStagger1D(c.size + 2)
+    plain = edges_from_centers(CenterField1D(grid, c))
+    scaled = edges_from_centers(CenterField1D(grid, c * 2.0**k))
+    assert type(plain) is type(scaled)
+    if isinstance(plain, Inconsistent):
+        assert scaled.residual == plain.residual * 2.0**k
+
+
+NUMBER_PROBES = [True, False, np.True_, np.False_, 0, 1, -7, 2**53, -2**53, 2**53 + 1,
+                 -(2**53 + 1), 2**63 - 1, -2**63, np.int64(2**53 + 1), np.int32(5),
+                 np.uint64(2**64 - 1), 1.5, float("nan"), float("inf"), float("-inf"), -0.0,
+                 np.float64(3.25), np.float32(1.1), np.float16(2.5), np.longdouble("1e400"),
+                 "1.5", "7", b"1"]
+
+
+@pytest.mark.parametrize("x", NUMBER_PROBES, ids=repr)
+def test_one_number_rule_for_scalars_and_arrays(x):
+    """A float-mode family parameter is taken exactly when a field entry is."""
+    family = edges_from_centers(CenterField1D(PeriodicStagger1D(4), [0.0, 0.0]))
+    results = []
+    for build in (lambda: family.member(x).values[0], lambda: FieldND(np.array([x])).values[0]):
+        try:
+            results.append(float(build()))
+        except ValueError:
+            results.append(None)
+    assert results[0] == results[1]
+    if results[0] is not None:   # compared exactly: an int as an int, not as a float
+        assert int(results[0]) == x if isinstance(x, (int, np.integer)) else results[0] == x

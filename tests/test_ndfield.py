@@ -1,5 +1,6 @@
 """Tests for axis-wise transforms on N-dimensional fields."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -207,6 +208,17 @@ class TestToEdges:
         big = FieldND(np.full((2, 3), 1.7e308), staggered_axis=0)
         assert np.array_equal(to_centers_along(big, 0)[0].values, big.values)
 
+    @pytest.mark.parametrize("strategy, pin", [("min-norm", {}),
+                                               ("pin", {"pin_index": 2, "pin_value": -1.7e308})])
+    def test_overflow_raises_no_warning(self, strategy, pin):
+        # an inf particular, or a finite one whose completion overflows, must
+        # reach check_finite without a numpy warning
+        for centers in ([1e308, 1e308, -1e308, -1e308], [0.85e308, 0.0, 0.0, 0.85e308]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="overflow float64"):
+                    to_edges_along(FieldND(np.array(centers)), 0, 6, strategy, **pin)
+
     def test_unknown_strategy(self):
         f = FieldND(np.zeros((3, 2)))
         with pytest.raises(ValueError):
@@ -243,6 +255,30 @@ class TestToEdges:
         # 2 P_k = 3.4e308 would overflow, yet every edge is representable
         out, _ = to_edges_along(FieldND(np.full((2, 3), 1.7e308)), 1, 5, "unique")
         assert out.values.tolist() == [[1.7e308] * 3] * 2
+
+
+@pytest.mark.parametrize("shape, axis", [((9, 6), 1), ((6, 9), 0), ((3, 4, 6), 2),
+                                         ((3, 6, 4), 1), ((6, 3, 4), 0)])
+@pytest.mark.parametrize("strategy", ["unique", "min-norm", "pin", "centers"])
+def test_kernel_output_is_a_new_checked_field(shape, axis, strategy):
+    """Results skip the constructor, yet hold what it would have made of them."""
+    rng = np.random.default_rng(7)
+    planted = rng.normal(size=shape[:axis] + (shape[axis] - (strategy == "unique"),)
+                         + shape[axis + 1:])
+    m = planted.shape[axis]
+    if strategy == "centers":
+        field, want_axis = FieldND(planted, staggered_axis=axis), None
+        result, _ = to_centers_along(field, axis)
+    else:
+        field, want_axis = to_centers_along(FieldND(planted, staggered_axis=axis), axis)[0], axis
+        pin = {"pin_index": 2, "pin_value": 0.5} if strategy == "pin" else {}
+        result, _ = to_edges_along(field, axis, m + 2, strategy, **pin)
+    assert type(result) is FieldND and result.staggered_axis == want_axis
+    assert result.values.dtype == np.float64 and result.shape == field.shape
+    assert np.all(np.isfinite(result.values))
+    assert not np.shares_memory(result.values, field.values)
+    rebuilt = FieldND(result.values, staggered_axis=want_axis)
+    assert np.array_equal(rebuilt.values, result.values)
 
 
 class TestSharedErrorContract:
