@@ -30,6 +30,7 @@ from .grid import (
     Unique,
     alternating_residual,
     centers_from_edges,
+    checked_int,
     edges_from_centers,
     solvability_report,
 )
@@ -192,11 +193,12 @@ def _same_family(a: Family, b: Family) -> bool:
 
 
 def build_audit_report(n_min: int, n_max: int) -> AuditReport:
-    """Audit every grid size in [n_min, n_max] (both at least 3).
+    """Audit every grid size in [n_min, n_max], both ints of at least 3, else ValueError.
 
     The upper end is bounded by the dense-oracle cap: n_max may not exceed
     MAX_ORACLE_UNKNOWNS + 2 unknowns' worth of edges.
     """
+    n_min, n_max = checked_int(n_min, "n_min"), checked_int(n_max, "n_max")
     if n_min < 3:
         raise ValueError(f"n_min must be at least 3, got {n_min}")
     if n_max < n_min:

@@ -25,8 +25,8 @@ from .audit import build_audit_report, render_json, render_text
 from .errors import FieldFormatError, InconsistentDataError, ParityError
 from .exact import MAX_ORACLE_UNKNOWNS
 from .fieldio import read_field, write_field
-from .grid import DEFAULT_TOLERANCE, solvability_report
-from .ndfield import STRATEGIES, to_centers_along, to_edges_along
+from .grid import DEFAULT_TOLERANCE, STRATEGIES, solvability_report
+from .ndfield import to_centers_along, to_edges_along
 
 #: Exit code of each error type, most specific first: the first match wins.
 _EXIT_CODES = ((FieldFormatError, 3), (ParityError, 4), (InconsistentDataError, 5),

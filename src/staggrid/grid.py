@@ -8,14 +8,19 @@ values and M independent center values, coupled by the averaging relation
     c_i = (e_i + e_{i+1}) / 2,   i = 1..M,   with e_{M+1} wrapping to e_1.
 
 Averaging edges to centers is a plain O(M) stencil.  The reverse direction
-is a cyclic linear system whose character depends only on the parity of N:
+is a cyclic linear system with exactly one solution for odd N.  For even N
+it is singular: solutions exist only when S = sum_{i=1..M} (-1)^(M-i) c_i
+vanishes, and then form a one-parameter family along the checkerboard
+vector (+1, -1, +1, ...).  Either way the recurrence e_{i+1} = 2 c_i - e_i
+telescopes to e_k = (-1)^(k-1) 2 (e_1 / 2 - P_k), P_k = sum_{j<k}
+(-1)^(j-1) c_j, so every completion is a choice of e_1 followed by one pass
+over the partial sums P, which overflows only where an edge does:
 
-* odd N: exactly one solution.  It is recovered in O(M) by seeding
-  e_1 = S = sum_{i=1..M} (-1)^(M-i) c_i and running the forward recurrence
-  e_{i+1} = 2 c_i - e_i.
-* even N: the system matrix is singular.  Solutions exist only when the
-  alternating sum S vanishes, and then they form a one-parameter family
-  whose direction is the checkerboard vector (+1, -1, +1, ...).
+* odd N: e_1 = S, the unique solution;
+* the even-N family particular: e_1 = 0;
+* the even-N minimum-norm member: e_1 = 2 mean(P), orthogonal to the
+  checkerboard;
+* the even-N member pinned at e_k = v: e_1 = 2 P_k + (-1)^(k-1) v.
 
 S is summed pairwise as adjacent differences, (c_2 - c_1) + (c_4 - c_3) +
 ..., with a leading c_1 when M is odd, so a common offset of the centers
@@ -186,7 +191,9 @@ class Family:
 
     Every member is ``particular + t * null_direction`` for real t; the null
     direction is the checkerboard vector (+1, -1, ...), which averages to
-    zero at every center; in exact mode it holds Python ints.
+    zero at every center; in exact mode it holds Python ints.  A completion is
+    the shift t = e_1 that :func:`complete_lines` picks, written in the
+    particular p (e_1 = 0 from edges_from_centers) by P_k = -(-1)^(k-1) p_k / 2.
     """
 
     particular: EdgeField1D
@@ -195,13 +202,14 @@ class Family:
     def member(self, t) -> EdgeField1D:
         """The family member at parameter value t."""
         p = self.particular
-        with np.errstate(over="ignore", invalid="ignore"):  # check_finite reports it
-            return _edge_field(p.grid, _shift(p.values, _finite_number(t, p.exact, "t")))
+        return _shift(p, _finite_number(t, p.exact, "t"))
 
     def pinned(self, pin_index: int, pin_value) -> EdgeField1D:
         """The single member with e_{pin_index} = pin_value (1-based index)."""
         p = self.particular
-        return _edge_field(p.grid, pin_lines(p.values, pin_index, pin_value))
+        k, sign, v = _checked_pin(p.grid.n_unknowns, p.exact, pin_index, pin_value)
+        with np.errstate(over="ignore"):  # _shift reports it
+            return _shift(p, sign * (v - p.values[k]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,28 +282,35 @@ def alternating_sums(c: np.ndarray):
     return c[..., 0] + np.sum(np.subtract(c[..., 2::2], c[..., 1::2], order="C"), axis=-1)
 
 
-def _telescope(first, c: np.ndarray) -> np.ndarray:
-    """Edges of every line from e_1 = first and e_{i+1} = 2 c_i - e_i.
-
-    The recurrence telescopes to e_k = (-1)^(k-1) 2 (e_1 / 2 - P_k) with
-    P_k = sum_{j<k} (-1)^(j-1) c_j, which is one cumulative sum per line.
-    |e_1 / 2 - P_k| = |e_k| / 2, so no step overflows where the edges fit.
-    """
-    alt = _checkerboard(c.shape[-1])
-    e = np.zeros_like(c)
-    np.multiply(alt[:-1], c[..., :-1], out=e[..., 1:])
-    np.cumsum(e[..., 1:], axis=-1, out=e[..., 1:])
-    np.subtract(np.asarray(first)[..., None] / 2, e, out=e)
-    e *= alt
-    e *= 2
-    return e
+def _telescope(first, partial: np.ndarray) -> np.ndarray:
+    """Edges e_k = (-1)^(k-1) 2 (e_1 / 2 - P_k) of every line from e_1 = ``first``,
+    written over its ``partial`` sums P; ValueError if they overflow float64."""
+    with np.errstate(over="ignore", invalid="ignore"):  # check_finite reports it
+        np.subtract(np.asarray(first)[..., None] / 2, partial, out=partial)
+        partial *= 2 * _checkerboard(partial.shape[-1])
+    return check_finite(partial, "edge values")
 
 
-def _shift(e: np.ndarray, t) -> np.ndarray:
-    """Family members e + t * checkerboard, with one t per line."""
-    out = np.asarray(t)[..., None] * _checkerboard(e.shape[-1])
-    out += e
-    return out
+def _shift(particular: EdgeField1D, t) -> EdgeField1D:
+    """The member ``particular + t * checkerboard``; ValueError if it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):  # check_finite reports it
+        e = t * _checkerboard(particular.grid.n_unknowns)
+        e += particular.values
+    return _kernel_field(EdgeField1D, grid=particular.grid, values=check_finite(e, "edge values"))
+
+
+def _line_mean(total, x: np.ndarray):
+    """``total(x) / M`` per line, M = x.shape[-1], for ``total`` a sum of the M
+    values or of their M / 2 differences.  Where that overflows, it is taken
+    again on x * 2^-ceil(log2 M), which cannot overflow (see average_lines)."""
+    x = np.ascontiguousarray(x)  # like alternating_sums: each line sums as if alone
+    m = x.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # the retry is finite if x is
+        mean = total(x) / m
+        if x.dtype.kind == "f" and not np.all(np.isfinite(mean)):
+            scale = 2.0 ** (m - 1).bit_length()
+            mean = total(x / scale) / m * scale
+    return mean
 
 
 def _finite_number(value, exact: bool, name: str):
@@ -322,49 +337,33 @@ def _validate_tolerance(tolerance) -> float:
 
 
 def solve_lines(c: np.ndarray, tolerance: float = DEFAULT_TOLERANCE):
-    """Solve e_i + e_{i+1} = 2 c_i on every line of ``c``.
-
-    Returns ``(edges, residual, consistent)``: for odd M the unique edges,
-    None, None.  For even M, 2 S and the test |2 S| <= tolerance * max|c|
-    (S == 0 for Fractions) per line, and the particulars
-    with e_1 = 0, or None if any line fails.  Callers validate
-    ``tolerance`` and check their final edges once with :func:`check_finite`.
+    """``(partial, s, residual, consistent)`` of every line of ``c``: the partial
+    sums P (P_1 = 0) and S that :func:`_telescope` takes to solve
+    e_i + e_{i+1} = 2 c_i, and for even M the residual 2 S and the test
+    |2 S| <= tolerance * max|c| (S == 0 for Fractions), else None, None.
+    Callers validate ``tolerance``.
     """
-    exact = c.dtype == object
+    partial = np.zeros_like(c)
+    np.multiply(_checkerboard(c.shape[-1])[:-1], c[..., :-1], out=partial[..., 1:])
     with np.errstate(over="ignore", invalid="ignore"):  # check_finite reports it
+        np.cumsum(partial[..., 1:], axis=-1, out=partial[..., 1:])
         s = alternating_sums(c)
         if c.shape[-1] % 2 == 1:
-            return _telescope(s, c), None, None
+            return partial, s, None, None
         residual = check_finite(2 * s, "the consistency residual")
-        if exact:
+        if c.dtype == object:
             consistent = residual == 0
         else:
             consistent = np.abs(residual) <= tolerance * np.max(np.abs(c), axis=-1)
-        if not np.all(consistent):
-            return None, residual, consistent
-        return _telescope(Fraction(0) if exact else 0.0, c), residual, consistent
+    return partial, s, residual, consistent
 
 
-def min_norm_lines(p: np.ndarray) -> np.ndarray:
-    """The member of least Euclidean norm of each even-M family particular.
-
-    t* = -<p, null> / M makes the result orthogonal to the null direction;
-    for even M, -<p, null> is the alternating sum S of p.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):  # check_finite reports it
-        return _shift(p, alternating_sums(p) / p.shape[-1])
-
-
-def pin_lines(p: np.ndarray, pin_index: int, pin_value) -> np.ndarray:
-    """The member of each family with e_{pin_index} = pin_value (1-based)."""
-    m = p.shape[-1]
+def _checked_pin(m: int, exact: bool, pin_index, pin_value):
+    """``(k, (-1)^k, v)`` of the pin e_{k+1} = v on lines of m edges, else ValueError."""
     pin_index = checked_int(pin_index, "pin index")
     if not 1 <= pin_index <= m:
         raise ValueError(f"pin index must be in 1..{m}, got {pin_index}")
-    pin_value = _finite_number(pin_value, p.dtype == object, "pin value")
-    k = pin_index - 1
-    with np.errstate(over="ignore", invalid="ignore"):  # check_finite reports it
-        return _shift(p, (pin_value - p[..., k]) * (-1 if k % 2 else 1))
+    return pin_index - 1, 1 if pin_index % 2 else -1, _finite_number(pin_value, exact, "pin value")
 
 
 #: Completion strategies accepted by :func:`complete_lines`.
@@ -376,11 +375,12 @@ def complete_lines(c: np.ndarray, strategy: str, tolerance: float = DEFAULT_TOLE
     """``(edges, residual)`` of every line of ``c``: edges completed by
     ``strategy``, and 2 S per line, or None for odd N = M + 2.
 
-    "unique" needs odd N, "min-norm" and "pin" need even N, else
-    ParityError; "pin", and only "pin", takes pin_index and pin_value.  The
-    first line in C order failing the even-N consistency test raises
-    InconsistentDataError with its index in ``line_coords`` (a 1-D ``c`` is
-    line (0,)).  Edges that overflow float64 raise ValueError.
+    Each strategy picks e_1 per line, then :func:`_telescope` runs: "unique"
+    (odd N) e_1 = S, "min-norm" (even N) e_1 = 2 mean(P), "pin" (even N, and only
+    it takes pin_index = k and pin_value = v) e_1 = 2 P_k + (-1)^(k-1) v; else
+    ParityError.  The first line in C order failing the even-N consistency test
+    raises InconsistentDataError with its index in ``line_coords`` (a 1-D ``c``
+    is line (0,)).  Edges that overflow float64, and only they, raise ValueError.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -397,7 +397,7 @@ def complete_lines(c: np.ndarray, strategy: str, tolerance: float = DEFAULT_TOLE
         raise ValueError(f"pin_index/pin_value only apply to strategy 'pin', not {strategy!r}")
 
     tolerance = _validate_tolerance(tolerance)
-    edges, residual, consistent = solve_lines(c, tolerance)
+    partial, e1, residual, consistent = solve_lines(c, tolerance)
     if not odd:
         if not np.all(consistent):
             first = int(np.flatnonzero(np.logical_not(consistent))[0])
@@ -407,11 +407,13 @@ def complete_lines(c: np.ndarray, strategy: str, tolerance: float = DEFAULT_TOLE
                 f"line {coords} admits no edge solution "
                 f"(residual {bad}, tolerance {tolerance:g})",
                 residual=bad, line_coords=coords)
-        if strategy == "min-norm":
-            edges = min_norm_lines(edges)
-        else:
-            edges = pin_lines(edges, pin_index, pin_value)
-    return check_finite(edges, "edge values"), residual
+        with np.errstate(over="ignore", invalid="ignore"):  # _telescope reports it
+            if strategy == "min-norm":
+                e1 = 2 * _line_mean(lambda x: np.sum(x, axis=-1), partial)
+            else:
+                k, sign, v = _checked_pin(c.shape[-1], c.dtype == object, pin_index, pin_value)
+                e1 = 2 * (partial[..., k] + sign * v / 2)
+    return _telescope(e1, partial), residual
 
 
 def average_lines(e: np.ndarray) -> np.ndarray:
@@ -439,11 +441,6 @@ def _kernel_field(cls, **fields):
     for name, value in fields.items():
         object.__setattr__(field, name, value)
     return field
-
-
-def _edge_field(grid: PeriodicStagger1D, values: np.ndarray) -> EdgeField1D:
-    """Kernel edges as a field, after their one check for float overflow."""
-    return _kernel_field(EdgeField1D, grid=grid, values=check_finite(values, "edge values"))
 
 
 def centers_from_edges(edges: EdgeField1D) -> CenterField1D:
@@ -477,13 +474,14 @@ def edges_from_centers(centers: CenterField1D,
     particular) overflow float64.
     """
     grid = centers.grid
-    edges, residual, consistent = solve_lines(centers.values, _validate_tolerance(tolerance))
+    partial, s, residual, consistent = solve_lines(centers.values, _validate_tolerance(tolerance))
     if grid.is_odd:
-        return Unique(_edge_field(grid, edges))
+        return Unique(_kernel_field(EdgeField1D, grid=grid, values=_telescope(s, partial)))
     if not consistent:
         return Inconsistent(residual if centers.exact else float(residual))
-    particular = _edge_field(grid, edges)
-    return Family(particular, _checkerboard(grid.n_unknowns).astype(centers.values.dtype))
+    particular = _telescope(Fraction(0) if centers.exact else 0.0, partial)
+    return Family(_kernel_field(EdgeField1D, grid=grid, values=particular),
+                  _checkerboard(grid.n_unknowns).astype(centers.values.dtype))
 
 
 def complete_min_norm(outcome: SolveOutcome) -> EdgeField1D:
@@ -491,7 +489,7 @@ def complete_min_norm(outcome: SolveOutcome) -> EdgeField1D:
 
     The projection t* = -<particular, null> / M makes the result orthogonal
     to the null direction.  Raises unless the outcome actually has a free
-    parameter.
+    parameter, and ValueError only when that member overflows float64.
     """
     if isinstance(outcome, Unique):
         raise ParityError(
@@ -504,7 +502,7 @@ def complete_min_norm(outcome: SolveOutcome) -> EdgeField1D:
             residual=outcome.residual,
         )
     p = outcome.particular
-    return _edge_field(p.grid, min_norm_lines(p.values))
+    return _shift(p, _line_mean(alternating_sums, p.values))
 
 
 def complete_pinned(centers: CenterField1D, pin_index: int, pin_value,

@@ -3,8 +3,8 @@
 A FieldND is a dense float array plus a marker saying which axis, if any,
 currently holds edge values.  A transform solves every 1-D line of the
 chosen axis at once, running the line kernel of :mod:`staggrid.grid` over
-the view ``np.moveaxis(values, axis, -1)``: no copy, no loop per line.  The
-1-D API runs the same kernel, so each line gets the edges it would get alone.
+the view ``np.moveaxis(values, axis, -1)``: no copy, no loop per line.  Each
+line gets the edges it would get alone, and the 1-D API runs the same kernel.
 
 Only one axis may be staggered at a time.  Transforming to edges requires a
 fully centered field; transforming to centers requires the requested axis
@@ -19,7 +19,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import ParityError
-from .grid import STRATEGIES  # noqa: F401  (re-exported: the CLI's --strategy choices)
 from .grid import (
     DEFAULT_TOLERANCE,
     PeriodicStagger1D,

@@ -92,6 +92,13 @@ class TestAudit:
     def test_upper_bound_runs(self):
         assert run_cli("audit", "66", "66").returncode == 0
 
+    @pytest.mark.parametrize("bad", [3.0, "3", 5.5])
+    def test_bounds_must_be_ints(self, bad):
+        with pytest.raises(ValueError, match="^n_min must be an int"):
+            build_audit_report(bad, 5)
+        with pytest.raises(ValueError, match="^n_max must be an int"):
+            build_audit_report(3, bad)
+
 
 class TestToEdges:
     def test_round_trip_through_files(self, tmp_path):

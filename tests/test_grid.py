@@ -497,11 +497,15 @@ class TestLargeData:
         family = edges_from_centers(c)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for complete in (lambda: complete_min_norm(family),
-                             lambda: family.pinned(2, -1.7e308),
+            for complete in (lambda: family.pinned(2, -1.7e308),
                              lambda: complete_pinned(c, 2, -1.7e308)):
                 with pytest.raises(ValueError, match="overflow float64"):
                     complete()
+            # the min-norm edges fit, so the alternating sum is taken on a prescale
+            best = complete_min_norm(family).values
+        exact = complete_min_norm(edges_from_centers(exact_centers(c.grid, c.values))).values
+        want = np.array([float(v) for v in exact])
+        assert np.all(np.abs(best - want) <= 4 * np.spacing(np.abs(want)))
 
     def test_averaging_near_the_float64_limit(self):
         # e_i + e_{i+1} overflows, yet the mean of finite values is finite

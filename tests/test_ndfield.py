@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from staggrid import (
     MAX_ORACLE_UNKNOWNS,
     CenterField1D,
+    EdgeField1D,
     Family,
     FieldND,
     InconsistentDataError,
@@ -28,6 +29,18 @@ from staggrid import (
 )
 
 EPS = float(np.finfo(np.float64).eps)
+
+
+def exact_min_norm(centers):
+    """The min-norm edges of float ``centers``, solved exactly and then rounded."""
+    exact = CenterField1D(PeriodicStagger1D(len(centers) + 2),
+                          np.array([Fraction(v) for v in centers], dtype=object))
+    return np.array([float(v) for v in complete_min_norm(edges_from_centers(exact)).values])
+
+
+def assert_within_ulps(got, want, ulps):
+    assert np.all(np.isfinite(got))
+    assert np.all(np.abs(got - want) <= ulps * np.spacing(np.abs(want))), (got, want)
 
 
 class TestFieldND:
@@ -202,20 +215,25 @@ class TestToEdges:
         f = FieldND(np.array([[1.7e308, -1.7e308, 1.7e308]] * 2))
         with pytest.raises(ValueError, match="overflow float64"):
             to_edges_along(f, 1, 5, "unique")
-        f = FieldND(np.full((2, 4), 1.7e308))
-        with pytest.raises(ValueError, match="overflow float64"):
-            to_edges_along(f, 1, 6, "min-norm")
+        # the min-norm edges of these consistent centers fit: (1.7e308, ...)
+        out, _ = to_edges_along(FieldND(np.full((2, 4), 1.7e308)), 1, 6, "min-norm")
+        for line in out.values:
+            assert_within_ulps(line, exact_min_norm([1.7e308] * 4), 4)
         big = FieldND(np.full((2, 3), 1.7e308), staggered_axis=0)
         assert np.array_equal(to_centers_along(big, 0)[0].values, big.values)
 
     @pytest.mark.parametrize("strategy, pin", [("min-norm", {}),
                                                ("pin", {"pin_index": 2, "pin_value": -1.7e308})])
     def test_overflow_raises_no_warning(self, strategy, pin):
-        # an inf particular, or a finite one whose completion overflows, must
-        # reach check_finite without a numpy warning
+        # edges that overflow must reach check_finite without a numpy warning
         for centers in ([1e308, 1e308, -1e308, -1e308], [0.85e308, 0.0, 0.0, 0.85e308]):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
+                if strategy == "min-norm" and centers[1] == 0.0:
+                    # (1.275e308, 0.425e308, -0.425e308, 0.425e308) fits: no overflow
+                    out, _ = to_edges_along(FieldND(np.array(centers)), 0, 6, strategy)
+                    assert_within_ulps(out.values, exact_min_norm(centers), 4)
+                    continue
                 with pytest.raises(ValueError, match="overflow float64"):
                     to_edges_along(FieldND(np.array(centers)), 0, 6, strategy, **pin)
 
@@ -255,6 +273,28 @@ class TestToEdges:
         # 2 P_k = 3.4e308 would overflow, yet every edge is representable
         out, _ = to_edges_along(FieldND(np.full((2, 3), 1.7e308)), 1, 5, "unique")
         assert out.values.tolist() == [[1.7e308] * 3] * 2
+
+    def test_even_completions_near_the_float64_limit(self):
+        # the e_1 = 0 particular (0, 2e308, 0, 2e308) overflows; min-norm and pin do not
+        centers = [1e308] * 4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, _ = to_edges_along(FieldND(np.array(centers)), 0, 6, "min-norm")
+            pinned = complete_pinned(CenterField1D(PeriodicStagger1D(6), centers), 1, 1e308)
+        assert out.values.tolist() == pinned.values.tolist() == [1e308] * 4
+
+    @pytest.mark.parametrize("strategy, pin", [("min-norm", {}),
+                                               ("pin", {"pin_index": 3, "pin_value": 0.25})])
+    def test_even_lines_are_independent(self, strategy, pin):
+        # each line of an N-D field gets the bits it gets alone, on any axis
+        rng = np.random.default_rng(5)
+        for shape, axis in (((6, 4, 3), 0), ((3, 6, 4), 1), ((3, 4, 6), 2)):
+            planted = FieldND(1e3 + rng.normal(size=shape), staggered_axis=axis)
+            centers, _ = to_centers_along(planted, axis)
+            out, _ = to_edges_along(centers, axis, 8, strategy, **pin)
+            for got, line in zip(field_lines(out.values, axis), field_lines(centers.values, axis)):
+                alone, _ = to_edges_along(FieldND(line), 0, 8, strategy, **pin)
+                assert got.tobytes() == alone.values.tobytes()
 
 
 @pytest.mark.parametrize("shape, axis", [((9, 6), 1), ((6, 9), 0), ((3, 4, 6), 2),
@@ -460,6 +500,47 @@ def test_batched_matches_dense_oracle(case, seed):
             want = [a + t * b for a, b in zip(p, n)]
         want = np.array([float(v) for v in want])
         assert np.max(np.abs(got - want)) <= 16 * m * EPS * max(1.0, np.max(np.abs(want)))
+
+
+@given(st.integers(1, 8), st.integers(-900, 1020), st.integers(0, 2**31 - 1))
+@settings(max_examples=80, deadline=None)
+def test_min_norm_fits_wherever_its_edges_fit(half, k, seed):
+    """Consistent even-N centers scaled by 2^k, near either end of float64: the
+    gate's and the family's min-norm edges are finite whenever the exact ones
+    fit, and the e_1 = 0 particular overflows only where its exact values do."""
+    m = 2 * half
+    grid = PeriodicStagger1D(m + 2)
+    big = Fraction(np.finfo(np.float64).max)
+    planted = np.random.default_rng(seed).integers(-127, 128, size=m) / 8.0 * 2.0**k
+    # dyadic data: the averages are exact, so S == 0 exactly
+    c = planted / 2 + np.roll(planted, -1) / 2
+    exact_c = CenterField1D(grid, np.array([Fraction(v) for v in c], dtype=object))
+    dense = solve_dense(build_system(exact_c))
+    p, n = list(dense.particular.values), list(dense.null_direction)
+    t = -sum(a * b for a, b in zip(p, n)) / m
+    exact = [a + t * b for a, b in zip(p, n)]
+    exact_family = edges_from_centers(exact_c)
+    # exact mode: the same Fractions, untouched by any prescale
+    got = complete_min_norm(exact_family).values.tolist()
+    assert got == exact and all(type(v) is Fraction for v in got)
+
+    families = [Family(EdgeField1D(grid, planted), np.array(n))]   # |planted| < 2^1024 fits
+    if max(abs(v) for v in exact_family.particular.values) <= big:
+        families.append(edges_from_centers(CenterField1D(grid, c)))
+    else:
+        with pytest.raises(ValueError, match="overflow float64"):
+            edges_from_centers(CenterField1D(grid, c))
+    routes = [lambda: to_edges_along(FieldND(c), 0, m + 2, "min-norm")[0].values]
+    routes += [lambda f=f: complete_min_norm(f).values for f in families]
+    fits = max(abs(v) for v in exact) <= big
+    for route in routes:
+        if fits:
+            got, want = route(), np.array([float(v) for v in exact])
+            assert np.all(np.isfinite(got))
+            assert np.max(np.abs(got - want)) <= 8 * m * EPS * np.max(np.abs(want))
+        else:
+            with pytest.raises(ValueError, match="overflow float64"):
+                route()
 
 
 @given(nd_cases(), st.data())
