@@ -24,7 +24,10 @@ over the partial sums P, which overflows only where an edge does:
 
 S is summed pairwise as adjacent differences, (c_2 - c_1) + (c_4 - c_3) +
 ..., with a leading c_1 when M is odd, so a common offset of the centers
-cancels before anything accumulates.
+cancels before anything accumulates.  Every sign (-1)^(k-1) and factor 2 is
+applied in place, by negating or doubling alternate slots of the one output
+buffer; no sign array is built.  Negation and doubling are exact, so this
+gives bit for bit what a multiply by the checkerboard would.
 
 The line kernel works along the last axis of an array of any rank: an N-D
 field runs it once over all of its lines, and the 1-D API is a batch of
@@ -127,8 +130,8 @@ def checked_floats(values) -> np.ndarray:
 def _coerce_values(values, expected_len: int) -> np.ndarray:
     """Normalize a value sequence to a 1-D array of float64 or Fraction.
 
-    Object input (anything containing a Fraction) selects exact mode; every
-    entry then goes through :func:`_finite_number`.  Everything else goes
+    Object input goes entry by entry through :func:`_finite_number`, in
+    exact mode only if some entry is a Fraction.  Everything else goes
     through :func:`checked_floats`.
     """
     arr = np.asarray(values)
@@ -139,8 +142,9 @@ def _coerce_values(values, expected_len: int) -> np.ndarray:
             f"length mismatch: grid expects {expected_len} values, got {arr.shape[0]}"
         )
     if arr.dtype == object:
-        return np.array([_finite_number(v, True, f"value at index {k}")
-                         for k, v in enumerate(arr)], dtype=object)
+        exact = any(isinstance(v, Fraction) for v in arr)
+        return np.array([_finite_number(v, exact, f"value at index {k}")
+                         for k, v in enumerate(arr)], dtype=object if exact else np.float64)
     return checked_floats(arr)
 
 
@@ -256,9 +260,10 @@ def solvability_report(n_edges: int) -> SolvabilityReport:
 # -- the line kernel: along the last axis, one line per leading index ---------
 
 
-def _checkerboard(m: int) -> np.ndarray:
-    """The null direction (+1, -1, +1, ...) of length m, as integers."""
-    signs = np.ones(m, dtype=np.int64)
+def _checkerboard(m: int, dtype) -> np.ndarray:
+    """The null direction (+1, -1, +1, ...) of length m in ``dtype``, for
+    :class:`Family`; the kernel negates alternate slots in place instead."""
+    signs = np.ones(m, dtype=dtype)
     signs[1::2] = -1
     return signs
 
@@ -284,18 +289,23 @@ def alternating_sums(c: np.ndarray):
 
 def _telescope(first, partial: np.ndarray) -> np.ndarray:
     """Edges e_k = (-1)^(k-1) 2 (e_1 / 2 - P_k) of every line from e_1 = ``first``,
-    written over its ``partial`` sums P; ValueError if they overflow float64."""
+    written over its ``partial`` sums P (doubled, then the even-k slots negated,
+    in place: no sign array); ValueError if they overflow float64."""
     with np.errstate(over="ignore", invalid="ignore"):  # check_finite reports it
         np.subtract(np.asarray(first)[..., None] / 2, partial, out=partial)
-        partial *= 2 * _checkerboard(partial.shape[-1])
+        partial *= 2
+        np.negative(partial[..., 1::2], out=partial[..., 1::2])
     return check_finite(partial, "edge values")
 
 
 def _shift(particular: EdgeField1D, t) -> EdgeField1D:
-    """The member ``particular + t * checkerboard``; ValueError if it overflows."""
+    """The member ``particular + t * checkerboard``: t added in place to the odd-k
+    slots of a copy and subtracted from the even-k ones, with no sign array;
+    ValueError if it overflows."""
+    e = particular.values.copy()
     with np.errstate(over="ignore", invalid="ignore"):  # check_finite reports it
-        e = t * _checkerboard(particular.grid.n_unknowns)
-        e += particular.values
+        e[..., 0::2] += t
+        e[..., 1::2] -= t
     return _kernel_field(EdgeField1D, grid=particular.grid, values=check_finite(e, "edge values"))
 
 
@@ -343,8 +353,13 @@ def solve_lines(c: np.ndarray, tolerance: float = DEFAULT_TOLERANCE):
     |2 S| <= tolerance * max|c| (S == 0 for Fractions), else None, None.
     Callers validate ``tolerance``.
     """
-    partial = np.zeros_like(c)
-    np.multiply(_checkerboard(c.shape[-1])[:-1], c[..., :-1], out=partial[..., 1:])
+    partial = np.empty_like(c)
+    if c.shape[-1] % 2 == 0 and c.dtype != object:
+        # |c| goes into the buffer P fills next: one reduction, no temporary
+        max_abs = np.max(np.abs(c, out=partial), axis=-1)
+    partial[..., 0] = 0
+    partial[..., 1:] = c[..., :-1]
+    np.negative(partial[..., 2::2], out=partial[..., 2::2])   # (-1)^(j-1) c_j, j = k - 1
     with np.errstate(over="ignore", invalid="ignore"):  # check_finite reports it
         np.cumsum(partial[..., 1:], axis=-1, out=partial[..., 1:])
         s = alternating_sums(c)
@@ -354,7 +369,7 @@ def solve_lines(c: np.ndarray, tolerance: float = DEFAULT_TOLERANCE):
         if c.dtype == object:
             consistent = residual == 0
         else:
-            consistent = np.abs(residual) <= tolerance * np.max(np.abs(c), axis=-1)
+            consistent = np.abs(residual) <= tolerance * max_abs
     return partial, s, residual, consistent
 
 
@@ -416,18 +431,32 @@ def complete_lines(c: np.ndarray, strategy: str, tolerance: float = DEFAULT_TOLE
     return _telescope(e1, partial), residual
 
 
+def _neighbour_sums(x: np.ndarray) -> np.ndarray:
+    """x_i + x_{i+1} of every line into one new buffer, the wrap x_M + x_1 last.
+    C-contiguous lines are summed as one flat run (one inner loop, not one per
+    line); where a line meets the next, the wrap then overwrites the slot."""
+    out = np.empty_like(x)
+    with np.errstate(over="ignore"):  # average_lines retries on halves
+        if x.flags.c_contiguous:
+            flat, flat_out = x.reshape(-1), out.reshape(-1)
+            np.add(flat[:-1], flat[1:], out=flat_out[:-1])
+        else:
+            np.add(x[..., :-1], x[..., 1:], out=out[..., :-1])
+        np.add(x[..., -1], x[..., 0], out=out[..., -1])
+    return out
+
+
 def average_lines(e: np.ndarray) -> np.ndarray:
     """Centers c_i = (e_i + e_{i+1}) / 2 of every line, with e_{M+1} = e_1.
 
-    Where a sum e_i + e_{i+1} overflows float64, the halves are added
-    instead: the mean of finite values is always finite.
+    The sums go straight into the output (no rolled copy of e, no sign array)
+    and are halved in place.  Where a sum overflows float64, the halves are
+    added instead: the mean of finite values is always finite.
     """
-    c = np.roll(e, -1, axis=-1)
-    with np.errstate(over="ignore"):
-        c += e
+    c = _neighbour_sums(e)
     c /= 2
     if c.dtype.kind == "f" and not np.all(np.isfinite(c)):
-        c = np.roll(e, -1, axis=-1) / 2 + e / 2
+        c = _neighbour_sums(e / 2)
     return c
 
 
@@ -481,7 +510,7 @@ def edges_from_centers(centers: CenterField1D,
         return Inconsistent(residual if centers.exact else float(residual))
     particular = _telescope(Fraction(0) if centers.exact else 0.0, partial)
     return Family(_kernel_field(EdgeField1D, grid=grid, values=particular),
-                  _checkerboard(grid.n_unknowns).astype(centers.values.dtype))
+                  _checkerboard(grid.n_unknowns, centers.values.dtype))
 
 
 def complete_min_norm(outcome: SolveOutcome) -> EdgeField1D:

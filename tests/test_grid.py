@@ -1,5 +1,6 @@
 """Unit and property tests for the 1-D grid types and transforms."""
 
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from staggrid import grid as kernel
 from staggrid import (
     CenterField1D,
     EdgeField1D,
@@ -153,6 +156,16 @@ class TestFields:
             CenterField1D(g, np.array([Fraction(1), True, False], dtype=object))
         with pytest.raises(ValueError, match=f"^value at index 2 {must} '3'"):
             EdgeField1D(g, np.array([Fraction(1), 2, "3"], dtype=object))
+
+    def test_object_ints_without_a_fraction_are_float_mode(self):
+        # numpy makes an object array of a list holding 2**64; only a Fraction
+        # selects exact mode, so these entries follow the float-mode number rule
+        g = PeriodicStagger1D(5)
+        cf = CenterField1D(g, [2**64, 0, 0])
+        assert not cf.exact and cf.values.dtype == np.float64
+        assert cf.values.tolist() == [2.0**64, 0.0, 0.0]
+        with pytest.raises(ValueError, match="^value at index 0 must be a finite real number"):
+            CenterField1D(g, [2**64 + 1, 0, 0])
 
     def test_exact_mode_holds_large_integers_exactly(self):
         cf = CenterField1D(PeriodicStagger1D(5), np.array([Fraction(1), 2**53 + 1, np.int64(-3)],
@@ -699,3 +712,180 @@ def test_one_number_rule_for_scalars_and_arrays(x):
     assert results[0] == results[1]
     if results[0] is not None:   # compared exactly: an int as an int, not as a float
         assert int(results[0]) == x if isinstance(x, (int, np.integer)) else results[0] == x
+
+
+# -- the kernel against its checkerboard formulas ------------------------------
+# The kernel applies every sign by negating alternate slots in place.  These
+# are the formulas it replaced, with explicit multiplies by the checkerboard;
+# negation and doubling are exact, so the two must agree bit for bit.
+
+
+def checkerboard_signs(m):
+    signs = np.ones(m, dtype=np.int64)
+    signs[1::2] = -1
+    return signs
+
+
+def reference_partial(c):
+    partial = np.zeros_like(c)
+    np.multiply(checkerboard_signs(c.shape[-1])[:-1], c[..., :-1], out=partial[..., 1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.cumsum(partial[..., 1:], axis=-1, out=partial[..., 1:])
+    return partial
+
+
+def reference_alternating_sums(c):
+    if c.shape[-1] % 2 == 0:
+        return np.sum(np.subtract(c[..., 1::2], c[..., 0::2], order="C"), axis=-1)
+    return c[..., 0] + np.sum(np.subtract(c[..., 2::2], c[..., 1::2], order="C"), axis=-1)
+
+
+def reference_solve(c, tolerance):
+    partial = reference_partial(c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = reference_alternating_sums(c)
+        if c.shape[-1] % 2 == 1:
+            return partial, s, None, None
+        residual = kernel.check_finite(2 * s, "the consistency residual")
+        if c.dtype == object:
+            return partial, s, residual, residual == 0
+        return partial, s, residual, np.abs(residual) <= tolerance * np.max(np.abs(c), axis=-1)
+
+
+def reference_telescope(first, partial):
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(np.asarray(first)[..., None] / 2, partial, out=partial)
+        partial *= 2 * checkerboard_signs(partial.shape[-1])
+    return kernel.check_finite(partial, "edge values")
+
+
+def reference_shift(particular, t):
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = t * checkerboard_signs(particular.shape[-1])
+        e += particular
+    return kernel.check_finite(e, "edge values")
+
+
+def reference_average(e):
+    c = np.roll(e, -1, axis=-1)
+    with np.errstate(over="ignore"):
+        c += e
+    c /= 2
+    if c.dtype.kind == "f" and not np.all(np.isfinite(c)):
+        c = np.roll(e, -1, axis=-1) / 2 + e / 2
+    return c
+
+
+def bits(x):
+    """Comparable bits of a result: the raw bytes of a numeric array, the type
+    and value of every entry of an object array."""
+    if x is None:
+        return None
+    x = np.asarray(x)
+    if x.dtype == object:
+        return x.shape, [(type(v), v) for v in x.flat]
+    return x.dtype, x.shape, x.tobytes()
+
+
+def outcome(call):
+    """The bits of every output of ``call``, or the type and message it raised."""
+    try:
+        result = call()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return [bits(x) for x in (result if isinstance(result, tuple) else (result,))]
+
+
+@st.composite
+def kernel_lines(draw):
+    """The lines of a 1-D to 3-D array along a drawn axis, as the kernel sees
+    them through ``np.moveaxis``: floats up to a drawn bound (from the
+    subnormals, where halving rounds, to the float64 limit, where sums
+    overflow), or averages of such floats, or the same as Fractions."""
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=6))
+    axis = draw(st.integers(0, len(shape) - 1))
+    bound = draw(st.sampled_from([2.0**-1022, 1.0, 1e10, 1e300, 8.9e307,
+                                  float(np.finfo(np.float64).max)]))
+    near_bound = st.floats(-1.0, 1.0).map(lambda x: x * bound)   # where sums overflow
+    values = draw(hnp.arrays(np.float64, shape,
+                             elements=st.one_of(st.floats(-bound, bound), near_bound)))
+    if draw(st.booleans()):   # consistent even lines, up to rounding
+        averaged = reference_average(np.moveaxis(values, axis, -1))
+        values = np.ascontiguousarray(np.moveaxis(averaged, -1, axis))
+    if draw(st.booleans()):
+        values = np.array([Fraction(v) for v in values.flat], dtype=object).reshape(shape)
+    return np.moveaxis(values, axis, -1), bound
+
+
+@given(kernel_lines(), st.sampled_from([0.0, 1e-10, 1.0]), st.data())
+@settings(max_examples=300, deadline=None)
+def test_kernel_bits_match_the_checkerboard_formulas(lines, tolerance, data):
+    """P and S from solve_lines, _telescope, _shift and average_lines give bit
+    for bit what the checkerboard multiplies gave, and raise the same errors."""
+    c, bound = lines
+    exact = c.dtype == object
+    assert outcome(lambda: kernel.solve_lines(c, tolerance)) == outcome(
+        lambda: reference_solve(c, tolerance))
+    assert outcome(lambda: kernel.average_lines(c)) == outcome(lambda: reference_average(c))
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = reference_alternating_sums(c)
+    for first in (s, c[..., -1], c[..., 0] * 0):
+        assert outcome(lambda: kernel._telescope(first, reference_partial(c))) == outcome(
+            lambda: reference_telescope(first, reference_partial(c)))
+    line = c[(0,) * (c.ndim - 1)]
+    t = data.draw(st.floats(-1.0, 1.0)) * bound
+    t = Fraction(t) if exact else t
+    edges = EdgeField1D(PeriodicStagger1D(line.size + 2), line)
+    assert outcome(lambda: kernel._shift(edges, t).values) == outcome(
+        lambda: reference_shift(line, t))
+
+
+# -- memory ------------------------------------------------------------------
+
+
+class TestMemoryBudget:
+    """Peak bytes a call allocates (numpy reports its buffers to tracemalloc),
+    per byte of one float64 line of about 10^5 values: the output, the S
+    differences and one bool mask, but no sign array and no |c| or roll copy."""
+
+    M = 10**5 + 1   # odd; even lines get one value more
+
+    @classmethod
+    def setup_class(cls):
+        rng = np.random.default_rng(0)
+        m = cls.M
+        cls.odd = CenterField1D(PeriodicStagger1D(m + 2), rng.standard_normal(m))
+        cls.edges = EdgeField1D(PeriodicStagger1D(m + 3), rng.standard_normal(m + 1))
+        cls.even = centers_from_edges(cls.edges)
+        cls.family = edges_from_centers(cls.even)
+        assert isinstance(cls.family, Family)
+
+    @staticmethod
+    def peak_per_line_byte(call, m):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = call()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert result is not None
+        return peak / (8 * m)
+
+    @pytest.mark.parametrize("name, limit", [
+        ("odd edges_from_centers", 1.6),
+        ("even edges_from_centers", 2.1),
+        ("complete_min_norm", 1.2),
+        ("Family.pinned", 1.2),
+        ("centers_from_edges", 1.2),
+    ])
+    def test_peak_traced_bytes(self, name, limit):
+        calls = {
+            "odd edges_from_centers": (lambda: edges_from_centers(self.odd), self.M),
+            "even edges_from_centers": (lambda: edges_from_centers(self.even), self.M + 1),
+            "complete_min_norm": (lambda: complete_min_norm(self.family), self.M + 1),
+            "Family.pinned": (lambda: self.family.pinned(3, 0.5), self.M + 1),
+            "centers_from_edges": (lambda: centers_from_edges(self.edges), self.M + 1),
+        }
+        assert self.peak_per_line_byte(*calls[name]) <= limit
