@@ -29,6 +29,17 @@ applied in place, by negating or doubling alternate slots of the one output
 buffer; no sign array is built.  Negation and doubling are exact, so this
 gives bit for bit what a multiply by the checkerboard would.
 
+P is a running sum, built in one of two orders of memory.  Usually
+``np.cumsum`` runs along each line.  On many short lines (at least
+``_ROWWISE_MIN_LINES`` lines of at most ``_ROWWISE_MAX_LENGTH`` values,
+read from the shape) numpy's one inner loop per line costs more than the
+arithmetic, so P is laid out with the line position outermost and built
+with one vector add per position across all lines; max|c| then comes from
+the max and min across those rows.  Both orders add
+P_{k-1} + (-1)^(k-2) c_{k-1} in sequence, so P has the same bits either way.
+S and the min-norm mean stay pairwise sums along C-contiguous lines: a sum
+across rows would add in sequence and change their bits.
+
 The line kernel works along the last axis of an array of any rank: an N-D
 field runs it once over all of its lines, and the 1-D API is a batch of
 one.  Fields hold float64 values by default.  Constructing a field from
@@ -346,30 +357,57 @@ def _validate_tolerance(tolerance) -> float:
     return tolerance
 
 
+#: Line count from which :func:`solve_lines` sums P one row add per position,
+#: for lines of at most ``_ROWWISE_MAX_LENGTH`` values: a row add has a fixed
+#: cost that the per-line cumsum passes near 500 lines, and on longer lines
+#: the copy of c into the transposed P loses what the adds gain.
+_ROWWISE_MIN_LINES = 512
+_ROWWISE_MAX_LENGTH = 64
+
+
 def solve_lines(c: np.ndarray, tolerance: float = DEFAULT_TOLERANCE):
     """``(partial, s, residual, consistent)`` of every line of ``c``: the partial
     sums P (P_1 = 0) and S that :func:`_telescope` takes to solve
     e_i + e_{i+1} = 2 c_i, and for even M the residual 2 S and the test
     |2 S| <= tolerance * max|c| (S == 0 for Fractions), else None, None.
     Callers validate ``tolerance``.
+
+    P is a new buffer.  On many short lines it is laid out position-outermost
+    and summed with one row add per position; otherwise by ``np.cumsum``
+    along each line.  Both add in sequence: the bits agree.
     """
-    partial = np.empty_like(c)
-    if c.shape[-1] % 2 == 0 and c.dtype != object:
-        # |c| goes into the buffer P fills next: one reduction, no temporary
-        max_abs = np.max(np.abs(c, out=partial), axis=-1)
+    m = c.shape[-1]
+    # many short lines (c.size / m of them): P summed one row add per position
+    rowwise = m <= _ROWWISE_MAX_LENGTH and c.size >= _ROWWISE_MIN_LINES * m
+    scaled_test = m % 2 == 0 and c.dtype != object   # |2 S| <= tolerance * max|c|
+    if rowwise:
+        partial = np.moveaxis(np.empty((m,) + c.shape[:-1], c.dtype), 0, -1)
+    else:
+        partial = np.empty_like(c)
+        if scaled_test:   # |c| goes into the buffer P fills next: one reduction, no temporary
+            max_abs = np.max(np.abs(c, out=partial), axis=-1)
     partial[..., 0] = 0
     partial[..., 1:] = c[..., :-1]
     np.negative(partial[..., 2::2], out=partial[..., 2::2])   # (-1)^(j-1) c_j, j = k - 1
     with np.errstate(over="ignore", invalid="ignore"):  # check_finite reports it
-        np.cumsum(partial[..., 1:], axis=-1, out=partial[..., 1:])
+        if rowwise:
+            rows = np.moveaxis(partial, -1, 0)
+            if scaled_test:   # max and min across rows are vector ops; |c| into P scatters
+                head = rows[1:]   # +-c_1 .. +-c_{M-1}
+                max_abs = np.maximum(np.maximum(head.max(axis=0), -head.min(axis=0)),
+                                     np.abs(c[..., -1]))
+            for k in range(2, m):
+                np.add(rows[k - 1, ...], rows[k, ...], out=rows[k, ...])   # views, even 0-d
+        else:
+            np.cumsum(partial[..., 1:], axis=-1, out=partial[..., 1:])
         s = alternating_sums(c)
-        if c.shape[-1] % 2 == 1:
+        if m % 2 == 1:
             return partial, s, None, None
         residual = check_finite(2 * s, "the consistency residual")
-        if c.dtype == object:
-            consistent = residual == 0
-        else:
+        if scaled_test:
             consistent = np.abs(residual) <= tolerance * max_abs
+        else:
+            consistent = residual == 0
     return partial, s, residual, consistent
 
 

@@ -56,6 +56,9 @@ class FieldND:
             raise ValueError("field must have at least one dimension")
         if self.staggered_axis is not None:
             axis = _checked_axis(self.staggered_axis, arr.ndim, "staggered_axis")
+            if arr.shape[axis] == 0:   # M = N - 2 >= 1 edge values per line
+                raise ValueError(f"staggered axis {axis} has extent 0; "
+                                 "an edge axis holds at least one value")
             object.__setattr__(self, "staggered_axis", axis)
         object.__setattr__(self, "values", arr)
 

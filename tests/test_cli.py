@@ -278,6 +278,15 @@ class TestToCenters:
                        "--output", str(tmp_path / "o.txt"))
         assert proc.returncode == 4
 
+    def test_empty_staggered_axis_exit_3(self, tmp_path):
+        f = tmp_path / "f.txt"
+        f.write_text("staggrid-field 1\nndim 2\nshape 5 0\nstaggered-axis 1\ncount 0\n")
+        proc = run_cli("to-centers", "--input", str(f), "--axis", "1",
+                       "--output", str(tmp_path / "o.txt"))
+        assert proc.returncode == 3
+        assert proc.stderr.decode().splitlines() == [
+            f"error: field file {f}: shape extents must be >= 1"]
+
 
 class TestUsage:
     def test_no_command(self):

@@ -27,6 +27,7 @@ from staggrid import (
     complete_pinned,
     edges_from_centers,
     solvability_report,
+    to_edges_along,
 )
 
 
@@ -859,6 +860,10 @@ class TestMemoryBudget:
         cls.even = centers_from_edges(cls.edges)
         cls.family = edges_from_centers(cls.even)
         assert isinstance(cls.family, Family)
+        lines = 4096   # P summed row-wise
+        assert lines >= kernel._ROWWISE_MIN_LINES
+        cls.odd_lines = FieldND(rng.standard_normal((lines, 7)))
+        cls.even_lines = FieldND(kernel.average_lines(rng.standard_normal((lines, 8))))
 
     @staticmethod
     def peak_per_line_byte(call, m):
@@ -889,3 +894,19 @@ class TestMemoryBudget:
             "centers_from_edges": (lambda: centers_from_edges(self.edges), self.M + 1),
         }
         assert self.peak_per_line_byte(*calls[name]) <= limit
+
+    @pytest.mark.parametrize("strategy, limit", [
+        ("unique", 2.05),
+        ("pin", 1.8),
+        ("min-norm", 2.6),   # _line_mean sums a C-order copy of P, as lines alone do
+    ])
+    def test_peak_traced_bytes_of_many_lines(self, strategy, limit):
+        """The same per byte of a field of 4096 short lines through to_edges_along.
+        For odd M, 0.56 of it is the fixed 128 KiB buffer numpy's iterator takes
+        to subtract the strided slices of alternating_sums."""
+        field = self.odd_lines if strategy == "unique" else self.even_lines
+        pin = (3, 0.5) if strategy == "pin" else (None, None)
+        m = field.shape[1]
+        assert self.peak_per_line_byte(
+            lambda: to_edges_along(field, 1, m + 2, strategy, 1e-10, *pin),
+            field.values.size) <= limit

@@ -2,13 +2,16 @@
 
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from staggrid import grid as kernel
 from staggrid import (
+    DEFAULT_TOLERANCE,
     MAX_ORACLE_UNKNOWNS,
     CenterField1D,
     EdgeField1D,
@@ -60,6 +63,13 @@ class TestFieldND:
             FieldND(np.zeros((3, 4)), staggered_axis=True)
         with pytest.raises(ValueError):
             FieldND(np.zeros((3, 4)), staggered_axis=np.True_)
+
+    def test_staggered_axis_needs_a_value(self):
+        # an edge axis holds M = N - 2 >= 1 values; other axes may be empty
+        for shape, axis in (((5, 0), 1), ((0,), 0), ((3, 0, 2), 1)):
+            with pytest.raises(ValueError, match=f"staggered axis {axis} has extent 0"):
+                FieldND(np.zeros(shape), staggered_axis=axis)
+        assert FieldND(np.zeros((0, 8)), staggered_axis=1).shape == (0, 8)
 
     def test_numpy_integer_staggered_axis(self):
         f = FieldND(np.zeros((3, 4)), staggered_axis=np.int64(1))
@@ -563,3 +573,114 @@ def test_first_inconsistent_line_in_c_order(case, data):
     first = min(broken)
     assert info.value.line_coords == tuple(int(x) for x in np.unravel_index(first, other or (1,)))
     assert info.value.residual == 2.0
+
+
+# -- many short lines: P summed one row add per position ------------------------
+# From kernel._ROWWISE_MIN_LINES lines of at most kernel._ROWWISE_MAX_LENGTH
+# values on, solve_lines lays its partial sums out position-outermost and adds
+# row to row instead of running np.cumsum per line.  Both add in the same
+# order, so every output and error is the same.
+
+
+def bits(x):
+    """Comparable bits of a field, an array, or anything else as it is."""
+    if isinstance(x, FieldND):
+        return bits(x.values), x.staggered_axis
+    if isinstance(x, np.ndarray):
+        return x.dtype, x.shape, x.tobytes()
+    return x
+
+
+def both_paths(call):
+    """What ``call`` returns on the row-wise path and on the per-line cumsum
+    path, as the bits of each item, or its error's type, message and
+    ``line_coords``."""
+    results = []
+    for threshold in (0, 2**62):
+        with mock.patch.object(kernel, "_ROWWISE_MIN_LINES", threshold):
+            try:
+                results.append([bits(x) for x in call()])
+            except ValueError as exc:
+                results.append((type(exc), str(exc), getattr(exc, "line_coords", None)))
+    return results
+
+
+@pytest.mark.parametrize("strategy, m", [("unique", 7), ("min-norm", 8), ("pin", 8)])
+@pytest.mark.parametrize("shape_of_lines", [(0,), (4, 0), (0, 3)])
+def test_fields_of_zero_lines_on_both_paths(strategy, m, shape_of_lines):
+    pin = (2, 1.0) if strategy == "pin" else (None, None)
+    field = FieldND(np.zeros(shape_of_lines + (m,)))
+    row, line = both_paths(lambda: to_edges_along(field, field.values.ndim - 1, m + 2,
+                                                  strategy, DEFAULT_TOLERANCE, *pin))
+    assert row == line
+    ((_, shape, _), _), summary = row
+    assert shape == field.shape and summary.n_lines == 0
+    staggered = FieldND(np.zeros((m,) + shape_of_lines), staggered_axis=0)
+    row, line = both_paths(lambda: to_centers_along(staggered, 0))
+    assert row == line
+    ((_, shape, _), _), summary = row
+    assert shape == staggered.shape and summary.n_lines == 0
+
+
+@pytest.mark.parametrize("m", [7, 8, kernel._ROWWISE_MAX_LENGTH, kernel._ROWWISE_MAX_LENGTH + 1])
+def test_many_short_lines_select_the_row_path(m):
+    # otherwise lines along the last axis keep their C layout in P
+    short = m <= kernel._ROWWISE_MAX_LENGTH
+    for n_lines, rowwise in ((kernel._ROWWISE_MIN_LINES - 1, False),
+                             (kernel._ROWWISE_MIN_LINES, short)):
+        for shape in ((n_lines, m), (n_lines, 1, m)):
+            partial = kernel.solve_lines(np.ones(shape))[0]
+            assert partial.shape == shape
+            assert np.moveaxis(partial, -1, 0).flags.c_contiguous == rowwise
+            assert partial.flags.c_contiguous != rowwise
+
+
+@st.composite
+def many_line_fields(draw):
+    """A 2-D or 3-D field of at least ``_ROWWISE_MIN_LINES`` short lines along a
+    drawn axis, of values up to a drawn bound (from the subnormals to the
+    float64 limit), random, averaged from random edges (consistent even lines)
+    or averaged with one line broken; and the completion arguments to try."""
+    threshold = kernel._ROWWISE_MIN_LINES
+    n_lines = draw(st.sampled_from([threshold, threshold + 1, 3 * threshold // 2]))
+    ndim = draw(st.integers(2, 3))
+    axis = draw(st.integers(0, ndim - 1))
+    m = draw(st.one_of(st.integers(1, 12), st.sampled_from([kernel._ROWWISE_MAX_LENGTH - 1,
+                                                             kernel._ROWWISE_MAX_LENGTH])))
+    if ndim == 2:
+        other = [n_lines]
+    else:
+        split = draw(st.sampled_from([d for d in range(1, n_lines + 1) if n_lines % d == 0]))
+        other = [split, n_lines // split]
+    shape = tuple(other[:axis] + [m] + other[axis:])
+    bound = draw(st.sampled_from([2.0**-1022, 1.0, 1e10, 1e300, 8.9e307,
+                                  float(np.finfo(np.float64).max)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    values = rng.uniform(-1.0, 1.0, shape) * bound
+    kind = draw(st.sampled_from(["random", "consistent", "one broken"]))
+    if kind != "random":
+        values = np.moveaxis(kernel.average_lines(np.moveaxis(values, axis, -1)), -1, axis)
+    if kind == "one broken":
+        lines = np.moveaxis(values, axis, -1)   # a view: writes reach ``values``
+        k = draw(st.integers(0, n_lines - 1))
+        lines[np.unravel_index(k, lines.shape[:-1])][-1] = bound / 2
+    pin_index = draw(st.integers(1, m))
+    pin_value = draw(st.floats(-1.0, 1.0)) * bound
+    return FieldND(values), axis, m, pin_index, pin_value
+
+
+@given(many_line_fields(), st.sampled_from([0.0, 1e-10, 1.0]))
+@settings(max_examples=150, deadline=None)
+def test_many_lines_take_the_row_path_bit_for_bit(case, tolerance):
+    """Every strategy gives the same edge bits, summary and error (type,
+    message, line_coords) whether P is summed row-wise or line by line, and
+    so do P, S, the residuals and each line's consistency flag."""
+    field, axis, m, pin_index, pin_value = case
+    row, line = both_paths(lambda: kernel.solve_lines(np.moveaxis(field.values, axis, -1),
+                                                      tolerance))
+    assert row == line
+    for strategy, pin in (("unique", (None, None)), ("min-norm", (None, None)),
+                          ("pin", (pin_index, pin_value))):
+        row, line = both_paths(lambda: to_edges_along(field, axis, m + 2, strategy,
+                                                      tolerance, *pin))
+        assert row == line
