@@ -62,8 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_edges.add_argument("--pin-value", type=float, default=None,
                          help="value for the pinned edge (strategy 'pin')")
     p_edges.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE,
-                         help="relative consistency tolerance for even N "
-                              f"(default {DEFAULT_TOLERANCE:g})")
+                         help="relative consistency tolerance for even N, on top of one "
+                              f"rounding per center (default {DEFAULT_TOLERANCE:g})")
     p_edges.add_argument("--output", required=True, help="staggered field file to write")
     p_edges.set_defaults(func=_cmd_to_edges)
 

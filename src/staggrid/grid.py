@@ -34,11 +34,12 @@ P is a running sum, built in one of two orders of memory.  Usually
 ``_ROWWISE_MIN_LINES`` lines of at most ``_ROWWISE_MAX_LENGTH`` values,
 read from the shape) numpy's one inner loop per line costs more than the
 arithmetic, so P is laid out with the line position outermost and built
-with one vector add per position across all lines; max|c| then comes from
-the max and min across those rows.  Both orders add
-P_{k-1} + (-1)^(k-2) c_{k-1} in sequence, so P has the same bits either way.
-S and the min-norm mean stay pairwise sums along C-contiguous lines: a sum
-across rows would add in sequence and change their bits.
+with one vector add per position across all lines.  Both orders add
+P_{k-1} + (-1)^(k-2) c_{k-1} in sequence, so P has the same bits either way;
+before that, P holds +-c_1..+-c_{M-1}, which give max|c|.  S and both
+min-norm means sum C-order temporaries pairwise, as a line alone would: the
+differences of c, and the pair sums P_{2j-1} + P_{2j} or, in Family, their
+doubles, the differences of the particular.
 
 The line kernel works along the last axis of an array of any rank: an N-D
 field runs it once over all of its lines, and the 1-D API is a batch of
@@ -46,7 +47,7 @@ one.  Fields hold float64 values by default.  Constructing a field from
 ``fractions.Fraction`` entries switches every operation on it to exact
 rational arithmetic (the kernel's constants are integers, and numpy's
 object arrays sum Fractions exactly); in that mode the even-N consistency
-test is exact and the ``tolerance`` argument is ignored.
+test is S == 0 and ``tolerance`` is ignored (see :func:`solve_lines`).
 
 All functions here are pure: they never mutate their inputs and keep no
 module state, so concurrent use on distinct values needs no locking.
@@ -206,9 +207,9 @@ class Family:
 
     Every member is ``particular + t * null_direction`` for real t; the null
     direction is the checkerboard vector (+1, -1, ...), which averages to
-    zero at every center; in exact mode it holds Python ints.  A completion is
-    the shift t = e_1 that :func:`complete_lines` picks, written in the
-    particular p (e_1 = 0 from edges_from_centers) by P_k = -(-1)^(k-1) p_k / 2.
+    zero at every center; in exact mode it holds Python ints.  The particular
+    p is the gate's member pinned at e_1 = 0, so the shift t = e_1 that
+    :func:`complete_lines` picks (P_k = -(-1)^(k-1) p_k / 2) gives the gate's edges.
     """
 
     particular: EdgeField1D
@@ -321,10 +322,9 @@ def _shift(particular: EdgeField1D, t) -> EdgeField1D:
 
 
 def _line_mean(total, x: np.ndarray):
-    """``total(x) / M`` per line, M = x.shape[-1], for ``total`` a sum of the M
-    values or of their M / 2 differences.  Where that overflows, it is taken
-    again on x * 2^-ceil(log2 M), which cannot overflow (see average_lines)."""
-    x = np.ascontiguousarray(x)  # like alternating_sums: each line sums as if alone
+    """``total(x) / M`` per line, M = x.shape[-1], for ``total`` a sum of the M / 2
+    pair sums or differences of x.  Where that overflows, it is taken again on
+    x * 2^-ceil(log2 M), which cannot overflow (see average_lines)."""
     m = x.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):  # the retry is finite if x is
         mean = total(x) / m
@@ -350,13 +350,6 @@ def _finite_number(value, exact: bool, name: str):
     raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
-def _validate_tolerance(tolerance) -> float:
-    tolerance = _finite_number(tolerance, False, "tolerance")
-    if tolerance < 0.0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance!r}")
-    return tolerance
-
-
 #: Line count from which :func:`solve_lines` sums P one row add per position,
 #: for lines of at most ``_ROWWISE_MAX_LENGTH`` values: a row add has a fixed
 #: cost that the per-line cumsum passes near 500 lines, and on longer lines
@@ -369,8 +362,8 @@ def solve_lines(c: np.ndarray, tolerance: float = DEFAULT_TOLERANCE):
     """``(partial, s, residual, consistent)`` of every line of ``c``: the partial
     sums P (P_1 = 0) and S that :func:`_telescope` takes to solve
     e_i + e_{i+1} = 2 c_i, and for even M the residual 2 S and the test
-    |2 S| <= tolerance * max|c| (S == 0 for Fractions), else None, None.
-    Callers validate ``tolerance``.
+    |2 S| <= (tolerance + 2 M u) max|c|, u = 2^-53: within one rounding per center
+    (S == 0 for Fractions); else None, None.  :func:`complete_lines` checks tolerance.
 
     P is a new buffer.  On many short lines it is laid out position-outermost
     and summed with one row add per position; otherwise by ``np.cumsum``
@@ -379,23 +372,20 @@ def solve_lines(c: np.ndarray, tolerance: float = DEFAULT_TOLERANCE):
     m = c.shape[-1]
     # many short lines (c.size / m of them): P summed one row add per position
     rowwise = m <= _ROWWISE_MAX_LENGTH and c.size >= _ROWWISE_MIN_LINES * m
-    scaled_test = m % 2 == 0 and c.dtype != object   # |2 S| <= tolerance * max|c|
     if rowwise:
         partial = np.moveaxis(np.empty((m,) + c.shape[:-1], c.dtype), 0, -1)
     else:
         partial = np.empty_like(c)
-        if scaled_test:   # |c| goes into the buffer P fills next: one reduction, no temporary
-            max_abs = np.max(np.abs(c, out=partial), axis=-1)
     partial[..., 0] = 0
     partial[..., 1:] = c[..., :-1]
     np.negative(partial[..., 2::2], out=partial[..., 2::2])   # (-1)^(j-1) c_j, j = k - 1
+    if m % 2 == 0:   # P holds +-c_1 .. +-c_{M-1} until it is summed: no |c| temporary
+        head = partial[..., 1:]
+        max_abs = np.maximum(np.maximum(head.max(axis=-1), -head.min(axis=-1)),
+                             np.abs(c[..., -1]))
     with np.errstate(over="ignore", invalid="ignore"):  # check_finite reports it
         if rowwise:
             rows = np.moveaxis(partial, -1, 0)
-            if scaled_test:   # max and min across rows are vector ops; |c| into P scatters
-                head = rows[1:]   # +-c_1 .. +-c_{M-1}
-                max_abs = np.maximum(np.maximum(head.max(axis=0), -head.min(axis=0)),
-                                     np.abs(c[..., -1]))
             for k in range(2, m):
                 np.add(rows[k - 1, ...], rows[k, ...], out=rows[k, ...])   # views, even 0-d
         else:
@@ -404,10 +394,8 @@ def solve_lines(c: np.ndarray, tolerance: float = DEFAULT_TOLERANCE):
         if m % 2 == 1:
             return partial, s, None, None
         residual = check_finite(2 * s, "the consistency residual")
-        if scaled_test:
-            consistent = np.abs(residual) <= tolerance * max_abs
-        else:
-            consistent = residual == 0
+        allowance = 0 if c.dtype == object else tolerance + 2 * m * 2.0**-53
+        consistent = np.abs(residual) <= allowance * max_abs
     return partial, s, residual, consistent
 
 
@@ -428,10 +416,12 @@ def complete_lines(c: np.ndarray, strategy: str, tolerance: float = DEFAULT_TOLE
     """``(edges, residual)`` of every line of ``c``: edges completed by
     ``strategy``, and 2 S per line, or None for odd N = M + 2.
 
-    Each strategy picks e_1 per line, then :func:`_telescope` runs: "unique"
-    (odd N) e_1 = S, "min-norm" (even N) e_1 = 2 mean(P), "pin" (even N, and only
-    it takes pin_index = k and pin_value = v) e_1 = 2 P_k + (-1)^(k-1) v; else
-    ParityError.  The first line in C order failing the even-N consistency test
+    The only caller of :func:`solve_lines`, for the 1-D and N-D APIs alike.  Each
+    strategy picks e_1 per line, then :func:`_telescope` runs: "unique" (odd N)
+    e_1 = S, "min-norm" (even N) e_1 = 2 mean(P), "pin" (even N, and only it
+    takes pin_index = k and pin_value = v) e_1 = 2 P_k + (-1)^(k-1) v; else
+    ParityError.  ("pin", 1, 0) gives the :class:`Family` particular, e_1 = 0.
+    The first line in C order failing the even-N consistency test
     raises InconsistentDataError with its index in ``line_coords`` (a 1-D ``c``
     is line (0,)).  Edges that overflow float64, and only they, raise ValueError.
     """
@@ -449,7 +439,9 @@ def complete_lines(c: np.ndarray, strategy: str, tolerance: float = DEFAULT_TOLE
     elif pin_index is not None or pin_value is not None:
         raise ValueError(f"pin_index/pin_value only apply to strategy 'pin', not {strategy!r}")
 
-    tolerance = _validate_tolerance(tolerance)
+    tolerance = _finite_number(tolerance, False, "tolerance")
+    if tolerance < 0.0:
+        raise ValueError(f"tolerance must be >= 0, got {tolerance!r}")
     partial, e1, residual, consistent = solve_lines(c, tolerance)
     if not odd:
         if not np.all(consistent):
@@ -461,8 +453,9 @@ def complete_lines(c: np.ndarray, strategy: str, tolerance: float = DEFAULT_TOLE
                 f"(residual {bad}, tolerance {tolerance:g})",
                 residual=bad, line_coords=coords)
         with np.errstate(over="ignore", invalid="ignore"):  # _telescope reports it
-            if strategy == "min-norm":
-                e1 = 2 * _line_mean(lambda x: np.sum(x, axis=-1), partial)
+            if strategy == "min-norm":   # pair sums: half the particular's differences
+                e1 = 2 * _line_mean(lambda x: np.sum(np.add(x[..., 0::2], x[..., 1::2],
+                                                            order="C"), axis=-1), partial)
             else:
                 k, sign, v = _checked_pin(c.shape[-1], c.dtype == object, pin_index, pin_value)
                 e1 = 2 * (partial[..., k] + sign * v / 2)
@@ -533,20 +526,21 @@ def edges_from_centers(centers: CenterField1D,
                        tolerance: float = DEFAULT_TOLERANCE) -> SolveOutcome:
     """Solve e_i + e_{i+1} = 2 c_i for the edges, classifying the outcome.
 
-    Odd N always yields :class:`Unique` in O(M).  Even N yields
-    :class:`Family` when the alternating residual passes the consistency
-    test (|2 S| <= tolerance * max|c| in floating mode, S == 0 in exact
-    mode) and :class:`Inconsistent` otherwise.  The family particular
-    is the member with e_1 = 0.  Raises ValueError when the edges (or that
-    particular) overflow float64.
+    Odd N: :func:`complete_lines` with "unique", always :class:`Unique`.  Even N:
+    ("pin", 1, 0), a :class:`Family` whose particular is that member, e_1 = 0,
+    when the line is consistent (|2 S| <= (tolerance + 2 M u) max|c|, u = 2^-53:
+    within one rounding per center; S == 0 in exact mode), else
+    :class:`Inconsistent` with the gate's residual.  Raises ValueError when the
+    edges (or that particular) overflow float64.
     """
     grid = centers.grid
-    partial, s, residual, consistent = solve_lines(centers.values, _validate_tolerance(tolerance))
     if grid.is_odd:
-        return Unique(_kernel_field(EdgeField1D, grid=grid, values=_telescope(s, partial)))
-    if not consistent:
-        return Inconsistent(residual if centers.exact else float(residual))
-    particular = _telescope(Fraction(0) if centers.exact else 0.0, partial)
+        edges, _ = complete_lines(centers.values, "unique", tolerance)
+        return Unique(_kernel_field(EdgeField1D, grid=grid, values=edges))
+    try:
+        particular, _ = complete_lines(centers.values, "pin", tolerance, 1, 0)
+    except InconsistentDataError as exc:
+        return Inconsistent(exc.residual)
     return Family(_kernel_field(EdgeField1D, grid=grid, values=particular),
                   _checkerboard(grid.n_unknowns, centers.values.dtype))
 

@@ -521,6 +521,43 @@ class TestLargeData:
         want = np.array([float(v) for v in exact])
         assert np.all(np.abs(best - want) <= 4 * np.spacing(np.abs(want)))
 
+    @pytest.mark.parametrize("m", [7 * 10**5, 10**6])
+    def test_averages_of_edges_are_consistent_at_every_size(self, m):
+        # distinct exact edges near 1.5 whose neighbour sums are all float ties,
+        # rounding down and up in turn: the centers' errors add up in S, to
+        # |2 S| = m 2^-52, which outgrew the bare tolerance * max|c| from m = 7e5
+        k = np.arange(m)
+        e = 1.5 + np.where(k % 2 == 0, k, 2 - k) * 2.0**-52
+        c = CenterField1D(PeriodicStagger1D(m + 2), (e + np.roll(e, -1)) / 2)
+        checkerboard = np.where(k % 2 == 0, 1.0, -1.0)
+        family = edges_from_centers(c)
+        assert isinstance(family, Family)
+        assert isinstance(edges_from_centers(c, tolerance=0.0), Family)
+        for got in (family.particular.values, family.pinned(1, e[0]).values,
+                    complete_min_norm(family).values, complete_pinned(c, 1, e[0]).values,
+                    to_edges_along(FieldND(c.values), 0, m + 2, "min-norm")[0].values):
+            planted = e + (got[0] - e[0]) * checkerboard
+            assert np.max(np.abs(got - planted)) <= 16 * m * self.EPS * np.max(np.abs(e))
+
+    @pytest.mark.parametrize("m", [4, 10**6])
+    @pytest.mark.parametrize("tolerance", [0.0, 1e-10])
+    def test_just_above_the_rounding_allowance_raises(self, m, tolerance):
+        # ones but for a last pair (0, d): |2 S| = 2 d exactly and max|c| = 1
+        allowance = tolerance + 2 * m * 2.0**-53
+        grid = PeriodicStagger1D(m + 2)
+        for factor, want in ((1 - 1e-6, Family), (1 + 1e-6, Inconsistent)):
+            c = np.ones(m)
+            c[-2:] = 0.0, allowance / 2 * factor
+            assert isinstance(edges_from_centers(CenterField1D(grid, c), tolerance), want)
+            if want is Inconsistent:
+                with pytest.raises(InconsistentDataError):
+                    to_edges_along(FieldND(c), 0, m + 2, "min-norm", tolerance)
+                with pytest.raises(InconsistentDataError):
+                    complete_pinned(CenterField1D(grid, c), 1, 0.0, tolerance)
+        # exact mode has no rounding to allow for: S == 0
+        if m == 4:
+            assert isinstance(edges_from_centers(exact_centers(grid, c), tolerance), Inconsistent)
+
     def test_averaging_near_the_float64_limit(self):
         # e_i + e_{i+1} overflows, yet the mean of finite values is finite
         e = [1.7e308, 1.7e308, -1.7e308, 1e308]
@@ -750,7 +787,9 @@ def reference_solve(c, tolerance):
         residual = kernel.check_finite(2 * s, "the consistency residual")
         if c.dtype == object:
             return partial, s, residual, residual == 0
-        return partial, s, residual, np.abs(residual) <= tolerance * np.max(np.abs(c), axis=-1)
+        # the tolerance on top of one rounding, 2^-53 relative, of each of the M centers
+        allowance = tolerance + 2 * c.shape[-1] * 2.0**-53
+        return partial, s, residual, np.abs(residual) <= allowance * np.max(np.abs(c), axis=-1)
 
 
 def reference_telescope(first, partial):
@@ -898,7 +937,7 @@ class TestMemoryBudget:
     @pytest.mark.parametrize("strategy, limit", [
         ("unique", 2.05),
         ("pin", 1.8),
-        ("min-norm", 2.6),   # _line_mean sums a C-order copy of P, as lines alone do
+        ("min-norm", 2.3),
     ])
     def test_peak_traced_bytes_of_many_lines(self, strategy, limit):
         """The same per byte of a field of 4096 short lines through to_edges_along.

@@ -450,8 +450,8 @@ def field_lines(values, axis):
     return np.moveaxis(values, axis, -1).reshape(-1, values.shape[axis])
 
 
-def solve_line_1d(line, strategy, pin_index, pin_value):
-    outcome = edges_from_centers(CenterField1D(PeriodicStagger1D(line.size + 2), line))
+def solve_line_1d(line, strategy, pin_index, pin_value, tolerance=DEFAULT_TOLERANCE):
+    outcome = edges_from_centers(CenterField1D(PeriodicStagger1D(line.size + 2), line), tolerance)
     if strategy == "unique":
         return outcome.edges.values
     if strategy == "min-norm":
@@ -478,8 +478,8 @@ def test_batched_matches_per_line_1d(case, seed):
                  for line in lines]
     assert summary.max_residual == (0.0 if m % 2 else max(residuals))
     for got, line in zip(field_lines(out.values, axis), lines):
-        want = solve_line_1d(line, strategy, pin_index, pin_value)
-        assert np.max(np.abs(got - want)) <= 16 * m * EPS * max(1.0, np.max(np.abs(want)))
+        # one answer per line: equal bits, but for the sign of an exact zero
+        assert np.array_equal(got, solve_line_1d(line, strategy, pin_index, pin_value))
 
 
 @given(nd_cases(max_m=12), st.integers(0, 2**31 - 1))
@@ -669,18 +669,35 @@ def many_line_fields(draw):
     return FieldND(values), axis, m, pin_index, pin_value
 
 
-@given(many_line_fields(), st.sampled_from([0.0, 1e-10, 1.0]))
+@given(many_line_fields(), st.sampled_from([0.0, 1e-10, 1.0]), st.data())
 @settings(max_examples=150, deadline=None)
-def test_many_lines_take_the_row_path_bit_for_bit(case, tolerance):
+def test_many_lines_take_the_row_path_bit_for_bit(case, tolerance, data):
     """Every strategy gives the same edge bits, summary and error (type,
     message, line_coords) whether P is summed row-wise or line by line, and
-    so do P, S, the residuals and each line's consistency flag."""
+    so do P, S, the residuals and each line's consistency flag.  A few lines
+    solved alone through the 1-D API give their edges too."""
     field, axis, m, pin_index, pin_value = case
     row, line = both_paths(lambda: kernel.solve_lines(np.moveaxis(field.values, axis, -1),
                                                       tolerance))
     assert row == line
+    centers = field_lines(field.values, axis)
+    sampled = data.draw(st.lists(st.integers(0, len(centers) - 1), min_size=1, max_size=3))
     for strategy, pin in (("unique", (None, None)), ("min-norm", (None, None)),
                           ("pin", (pin_index, pin_value))):
         row, line = both_paths(lambda: to_edges_along(field, axis, m + 2, strategy,
                                                       tolerance, *pin))
         assert row == line
+        if isinstance(row, tuple):   # the same error on both paths
+            continue
+        edges = field_lines(to_edges_along(field, axis, m + 2, strategy, tolerance, *pin)[0]
+                            .values, axis)
+        for k in sampled:
+            try:
+                want = solve_line_1d(centers[k], strategy, *pin, tolerance)
+            except ValueError as exc:   # the e_1 = 0 particular, which the gate never builds
+                assert "overflow float64" in str(exc)
+                continue
+            # subnormal e_1 loses a bit when _telescope halves it, and only there
+            # does the min-norm mean depend on being taken on the doubled sums
+            assert (np.array_equal(edges[k], want) or np.max(np.abs(want)) < 2.0**-1000
+                    and np.allclose(edges[k], want, rtol=2 * EPS, atol=2.0**-1073))
