@@ -937,15 +937,23 @@ class TestMemoryBudget:
     @pytest.mark.parametrize("strategy, limit", [
         ("unique", 2.05),
         ("pin", 1.8),
-        ("min-norm", 2.3),
+        ("min-norm", 2.6),   # the budget while _line_mean summed a C-order copy of P
     ])
     def test_peak_traced_bytes_of_many_lines(self, strategy, limit):
         """The same per byte of a field of 4096 short lines through to_edges_along.
         For odd M, 0.56 of it is the fixed 128 KiB buffer numpy's iterator takes
         to subtract the strided slices of alternating_sums."""
+        assert self.peak_of_many_lines(strategy) <= limit
+
+    def test_min_norm_of_many_lines_copies_no_partial_sums(self):
+        # the min-norm mean sums the pair sums of P in place: a C-order copy
+        # of P would add about 0.5 to the 2.28 it takes
+        assert self.peak_of_many_lines("min-norm") <= 2.3
+
+    def peak_of_many_lines(self, strategy):
         field = self.odd_lines if strategy == "unique" else self.even_lines
         pin = (3, 0.5) if strategy == "pin" else (None, None)
         m = field.shape[1]
-        assert self.peak_per_line_byte(
+        return self.peak_per_line_byte(
             lambda: to_edges_along(field, 1, m + 2, strategy, 1e-10, *pin),
-            field.values.size) <= limit
+            field.values.size)
