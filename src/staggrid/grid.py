@@ -30,16 +30,17 @@ buffer; no sign array is built.  Negation and doubling are exact, so this
 gives bit for bit what a multiply by the checkerboard would.
 
 P is a running sum, built in one of two orders of memory.  Usually
-``np.cumsum`` runs along each line.  On many short lines (at least
-``_ROWWISE_MIN_LINES`` lines of at most ``_ROWWISE_MAX_LENGTH`` values,
-read from the shape) numpy's one inner loop per line costs more than the
-arithmetic, so P is laid out with the line position outermost and built
-with one vector add per position across all lines.  Both orders add
-P_{k-1} + (-1)^(k-2) c_{k-1} in sequence, so P has the same bits either way;
-before that, P holds +-c_1..+-c_{M-1}, which give max|c|.  S and both
-min-norm means sum C-order temporaries pairwise, as a line alone would: the
-differences of c, and the pair sums P_{2j-1} + P_{2j} or, in Family, their
-doubles, the differences of the particular.
+``np.cumsum`` runs along each line.  On the row path (at least
+``_ROWWISE_MIN_LINES`` lines, of at most ``_ROWWISE_MAX_LENGTH`` values unless
+they are not contiguous) numpy's one inner loop per line costs more than the
+arithmetic, so P is laid out position-outermost and built with one vector add
+per position across all lines.  Both add P_{k-1} + (-1)^(k-2) c_{k-1} in
+sequence, so P has the same bits either way; before that, P holds
++-c_1..+-c_{M-1}, which give max|c|.  S and both min-norm means are pairwise
+sums, as np.sum gives them for a line alone: of the differences of c, and of
+the pair sums P_{2j-1} + P_{2j} or, in Family, their doubles, the differences
+of the particular.  On the row path S and the gate's mean are row adds in
+numpy's pairwise order instead, with the same bits.
 
 The line kernel works along the last axis of an array of any rank: an N-D
 field runs it once over all of its lines, and the 1-D API is a batch of
@@ -288,15 +289,49 @@ def check_finite(values, what: str):
 
 
 def alternating_sums(c: np.ndarray):
-    """S = sum_{i=1..M} (-1)^(M-i) c_i of every line of ``c``.
-
-    The differences are laid out C-contiguous, so numpy sums each line in
-    the same pairwise order whatever the layout of ``c``: a line of an N-D
-    field gets exactly the S it would get on its own.
+    """S = sum_{i=1..M} (-1)^(M-i) c_i of every line of ``c``: c_1 (odd M) plus the
+    differences c_{2j} - c_{2j-1} (even M) or c_{2j+1} - c_{2j} (odd M), summed
+    pairwise as np.sum sums them for a line alone.  On the row path the sum is
+    row adds in that order (:func:`_pair_total`): a line of an N-D field gets
+    exactly the S it would get on its own, on either path.
     """
-    if c.shape[-1] % 2 == 0:
-        return np.sum(np.subtract(c[..., 1::2], c[..., 0::2], order="C"), axis=-1)
-    return c[..., 0] + np.sum(np.subtract(c[..., 2::2], c[..., 1::2], order="C"), axis=-1)
+    odd = c.shape[-1] % 2
+    s = _pair_total(np.subtract, c, odd)
+    return c[..., 0] + s if odd else s
+
+
+def _pair_total(op, x: np.ndarray, first: int = 0):
+    """sum_j op(x_{first+2j+1}, x_{first+2j}) of every line of ``x``, with the bits
+    np.sum gives the C-order terms of the line alone.  On the row path
+    :func:`_pairwise_rows` adds the terms, made one row at a time, and then +0.0,
+    where numpy's accumulator starts (an all -0.0 line sums to +0.0)."""
+    n = (x.shape[-1] - first) // 2
+    if x.dtype == object or n == 0 or not _rowwise(x):
+        return np.sum(op(x[..., first + 1::2], x[..., first::2], order="C"), axis=-1)
+    total = _pairwise_rows(lambda j: op(x[..., first + 2 * j + 1], x[..., first + 2 * j]), n)
+    total += 0.0
+    return total
+
+
+def _pairwise_rows(term, n: int, start: int = 0):
+    """term(start) + ... + term(start + n - 1) for new rows term(j), n >= 1, added in
+    the order of numpy's pairwise_sum (loops_utils.h.src): under 8 in sequence; up
+    to 128 into 8 accumulators r_{j mod 8}, combined as ((r0 + r1) + (r2 + r3)) +
+    ((r4 + r5) + (r6 + r7)), then the rest in sequence; more split at n // 2
+    rounded down to a multiple of 8."""
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_rows(term, half, start) + _pairwise_rows(term, n - half, start + half)
+    head = n - n % 8 if n >= 8 else 1   # the terms added before the sequential rest
+    r = [term(start + j) for j in range(min(head, 8))]
+    for j in range(8, head):
+        r[j % 8] += term(start + j)
+    if n >= 8:
+        for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+            r[a] += r[b]
+    for j in range(head, n):
+        r[0] += term(start + j)
+    return r[0]
 
 
 def _telescope(first, partial: np.ndarray) -> np.ndarray:
@@ -350,12 +385,20 @@ def _finite_number(value, exact: bool, name: str):
     raise ValueError(f"{name} must be a finite real number, got {value!r}")
 
 
-#: Line count from which :func:`solve_lines` sums P one row add per position,
-#: for lines of at most ``_ROWWISE_MAX_LENGTH`` values: a row add has a fixed
-#: cost that the per-line cumsum passes near 500 lines, and on longer lines
-#: the copy of c into the transposed P loses what the adds gain.
+#: The row path (one row op per position across all lines) takes at least
+#: ``_ROWWISE_MIN_LINES`` lines, where its fixed cost per op passes numpy's per
+#: line loop, of at most ``_ROWWISE_MAX_LENGTH`` values unless they are not
+#: contiguous: on longer contiguous lines the copy of c into the transposed P
+#: loses what the adds gain, but along a non-last axis P lies as c does.
 _ROWWISE_MIN_LINES = 512
 _ROWWISE_MAX_LENGTH = 64
+
+
+def _rowwise(c: np.ndarray) -> bool:
+    """Whether the lines of ``c`` take the row path, from its shape and strides."""
+    m = c.shape[-1]
+    return (c.size >= _ROWWISE_MIN_LINES * m
+            and (m <= _ROWWISE_MAX_LENGTH or c.strides[-1] != c.itemsize))
 
 
 def solve_lines(c: np.ndarray, tolerance: float = DEFAULT_TOLERANCE):
@@ -365,13 +408,13 @@ def solve_lines(c: np.ndarray, tolerance: float = DEFAULT_TOLERANCE):
     |2 S| <= (tolerance + 2 M u) max|c|, u = 2^-53: within one rounding per center
     (S == 0 for Fractions); else None, None.  :func:`complete_lines` checks tolerance.
 
-    P is a new buffer.  On many short lines it is laid out position-outermost
-    and summed with one row add per position; otherwise by ``np.cumsum``
-    along each line.  Both add in sequence: the bits agree.
+    P is a new buffer.  On the row path (:func:`_rowwise`) it is laid out
+    position-outermost and summed with one row add per position, and S is row
+    adds in numpy's pairwise order; otherwise ``np.cumsum`` and ``np.sum`` run
+    along each line.  The bits agree.
     """
     m = c.shape[-1]
-    # many short lines (c.size / m of them): P summed one row add per position
-    rowwise = m <= _ROWWISE_MAX_LENGTH and c.size >= _ROWWISE_MIN_LINES * m
+    rowwise = _rowwise(c)
     if rowwise:
         partial = np.moveaxis(np.empty((m,) + c.shape[:-1], c.dtype), 0, -1)
     else:
@@ -454,8 +497,7 @@ def complete_lines(c: np.ndarray, strategy: str, tolerance: float = DEFAULT_TOLE
                 residual=bad, line_coords=coords)
         with np.errstate(over="ignore", invalid="ignore"):  # _telescope reports it
             if strategy == "min-norm":   # pair sums: half the particular's differences
-                e1 = 2 * _line_mean(lambda x: np.sum(np.add(x[..., 0::2], x[..., 1::2],
-                                                            order="C"), axis=-1), partial)
+                e1 = 2 * _line_mean(lambda x: _pair_total(np.add, x), partial)
             else:
                 k, sign, v = _checked_pin(c.shape[-1], c.dtype == object, pin_index, pin_value)
                 e1 = 2 * (partial[..., k] + sign * v / 2)
@@ -516,9 +558,10 @@ def alternating_residual(centers: CenterField1D):
 
     For odd M this equals e_1 of the unique solution; for even M the system
     is consistent exactly when S vanishes (equivalently, when c_M equals the
-    alternating sum of the other centers).
+    alternating sum of the other centers).  ValueError if it overflows float64.
     """
-    s = alternating_sums(centers.values)
+    with np.errstate(over="ignore", invalid="ignore"):  # check_finite reports it
+        s = check_finite(alternating_sums(centers.values), "the alternating sum")
     return s if centers.exact else float(s)
 
 

@@ -235,6 +235,13 @@ class TestAlternatingResidual:
         assert isinstance(s, Fraction)
         assert s == 0
 
+    def test_overflow_is_reported_as_such(self):
+        c = CenterField1D(PeriodicStagger1D(6), [1.7e308, -1.7e308, 1.7e308, -1.7e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # no numpy warning on the way
+            with pytest.raises(ValueError, match="alternating sum overflow float64"):
+                alternating_residual(c)
+
 
 class TestOddSolve:
     def test_n5_closed_form(self):
@@ -880,6 +887,27 @@ def test_kernel_bits_match_the_checkerboard_formulas(lines, tolerance, data):
         lambda: reference_shift(line, t))
 
 
+# -- numpy's pairwise order -------------------------------------------------
+
+
+@pytest.mark.parametrize("n", list(range(1, 129)) + [129, 135, 136, 256, 300, 1031, 4096])
+def test_row_sums_follow_numpys_pairwise_order(n):
+    """_pairwise_rows, from +0.0 as np.sum's accumulator starts, gives the bits
+    of np.sum(..., axis=-1) on batches of lines: random, offset by 1e6, of
+    mixed signs over 40 decades, subnormal, and all -0.0.  The row path's S
+    and min-norm mean rest on this: if a numpy release changes the order of
+    its pairwise_sum, this test names the cause."""
+    rng = np.random.default_rng(n)
+    batches = rng.standard_normal((5, 40, n))
+    batches[1] += 1e6
+    batches[2] *= 10.0 ** rng.integers(-20, 20, (40, n))
+    batches[3] *= 2.0**-1060
+    batches[4] = -0.0
+    for x in batches:
+        rows = 0.0 + kernel._pairwise_rows(lambda j: x[:, j].copy(), n)
+        assert rows.tobytes() == np.sum(x, axis=-1).tobytes()
+
+
 # -- memory ------------------------------------------------------------------
 
 
@@ -940,15 +968,23 @@ class TestMemoryBudget:
         ("min-norm", 2.6),   # the budget while _line_mean summed a C-order copy of P
     ])
     def test_peak_traced_bytes_of_many_lines(self, strategy, limit):
-        """The same per byte of a field of 4096 short lines through to_edges_along.
-        For odd M, 0.56 of it is the fixed 128 KiB buffer numpy's iterator takes
-        to subtract the strided slices of alternating_sums."""
+        """The same per byte of a field of 4096 short lines through to_edges_along,
+        at the budgets of np.sum on C-order temporaries, when odd M also took a
+        fixed 128 KiB iterator buffer to subtract the strided slices for S;
+        the row sums are held to their own, lower peaks below."""
         assert self.peak_of_many_lines(strategy) <= limit
 
     def test_min_norm_of_many_lines_copies_no_partial_sums(self):
-        # the min-norm mean sums the pair sums of P in place: a C-order copy
-        # of P would add about 0.5 to the 2.28 it takes
+        # the min-norm mean sums the pair sums of P where it lies: a C-order
+        # copy of P would add about 0.5 to the 1.65 it takes
         assert self.peak_of_many_lines("min-norm") <= 2.3
+
+    @pytest.mark.parametrize("strategy, limit", [("unique", 1.6), ("pin", 1.7), ("min-norm", 1.7)])
+    def test_row_sums_of_many_lines_hold_a_few_rows(self, strategy, limit):
+        """S and the min-norm mean are row adds holding at most nine rows of one
+        value per line: no C-order differences or pair sums (0.5 for M = 8)
+        and no iterator buffer (0.56 for M = 7).  Measured: 1.586, 1.653, 1.651."""
+        assert self.peak_of_many_lines(strategy) <= limit
 
     def peak_of_many_lines(self, strategy):
         field = self.odd_lines if strategy == "unique" else self.even_lines
