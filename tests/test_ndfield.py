@@ -635,35 +635,17 @@ def test_many_short_lines_select_the_row_path(m):
             assert partial.flags.c_contiguous != rowwise
 
 
-def test_long_lines_take_the_row_path_where_they_are_not_contiguous():
-    # 600 lines of 300 along axis 0 lie position-outermost; along the last
-    # axis, or as cli-files' 250 lines of 999 along axis 0, they do not
-    assert kernel._rowwise(np.moveaxis(np.ones((300, 600)), 0, -1))
-    assert not kernel._rowwise(np.ones((600, 300)))
-    assert not kernel._rowwise(np.moveaxis(np.ones((999, 250)), 0, -1))
-    assert not kernel._rowwise(np.ones(10**6))
-
-
-@pytest.mark.parametrize("strategy, m", [("unique", 301), ("min-norm", 300), ("pin", 300)])
-@pytest.mark.parametrize("kind", ["random", "offset", "tiny", "signed zeros"])
-def test_long_lines_along_axis_0_take_the_row_path_bit_for_bit(strategy, m, kind):
-    """600 lines of about 300 values along axis 0 give the same edge bits,
-    summary, P, S, residuals and flags on the row path as line by line: S and
-    the min-norm mean split their 150 terms as numpy's pairwise_sum does."""
-    rng = np.random.default_rng(m)
-    values = rng.standard_normal((m, 600)) * (1e-300 if kind == "tiny" else 1.0)
-    if kind == "offset":
-        values += 1e6
-    if m % 2 == 0:   # consistent even lines
-        values = kernel.average_lines(values.T).T.copy()
-    if kind == "signed zeros":   # every term of S is -0.0, which np.sum turns to +0.0
-        values[(m + 1) % 2::2], values[m % 2::2] = -0.0, 0.0
-    field = FieldND(values)
-    assert kernel._rowwise(np.moveaxis(field.values, 0, -1))
-    pin = (7, 0.5) if strategy == "pin" else (None, None)
-    row, line = both_paths(lambda: kernel.solve_lines(np.moveaxis(field.values, 0, -1)))
+@pytest.mark.parametrize("strategy, m", [("unique", 7), ("min-norm", 8), ("pin", 8)])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_signed_zeros_on_both_paths(strategy, m, axis):
+    # every term of S is -0.0, which np.sum's +0.0 accumulator turns to +0.0
+    lines = np.zeros((kernel._ROWWISE_MIN_LINES, m))
+    lines[:, (m + 1) % 2::2] = -0.0
+    field = FieldND(np.moveaxis(lines, -1, axis).copy())
+    pin = (3, 0.0) if strategy == "pin" else (None, None)
+    row, line = both_paths(lambda: kernel.solve_lines(np.moveaxis(field.values, axis, -1)))
     assert row == line
-    row, line = both_paths(lambda: to_edges_along(field, 0, m + 2, strategy,
+    row, line = both_paths(lambda: to_edges_along(field, axis, m + 2, strategy,
                                                   DEFAULT_TOLERANCE, *pin))
     assert row == line and not isinstance(row, tuple)
 
