@@ -42,6 +42,12 @@ the pair sums P_{2j-1} + P_{2j} or, in Family, their doubles, the differences
 of the particular.  On the row path S and the gate's mean are row adds in
 numpy's pairwise order instead, with the same bits.
 
+Each call builds only what it returns (:class:`Family` its null direction on
+first read).  Overflow of the edges from P and of 2 S, whose inputs may be
+infinite already, is found by :func:`check_finite`; that of a member p +- t
+or of neighbour sums of edges, all finite, is read from the FP overflow flag
+(IEEE 754-2008 section 7), with no pass over the output.
+
 The line kernel works along the last axis of an array of any rank: an N-D
 field runs it once over all of its lines, and the 1-D API is a batch of
 one.  Fields hold float64 values by default.  Constructing a field from
@@ -61,6 +67,7 @@ import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -202,19 +209,29 @@ class Unique:
     edges: EdgeField1D
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Family:
     """Solve outcome for consistent even N: a one-parameter solution family.
 
     Every member is ``particular + t * null_direction`` for real t; the null
     direction is the checkerboard vector (+1, -1, ...), which averages to
-    zero at every center; in exact mode it holds Python ints.  The particular
-    p is the gate's member pinned at e_1 = 0, so the shift t = e_1 that
+    zero at every center: float64, or Python ints in exact mode, built on first
+    read unless given (as the dense oracle does).  The particular p is the
+    gate's member pinned at e_1 = 0, so the shift t = e_1 that
     :func:`complete_lines` picks (P_k = -(-1)^(k-1) p_k / 2) gives the gate's edges.
     """
 
     particular: EdgeField1D
-    null_direction: np.ndarray
+
+    def __init__(self, particular: EdgeField1D, null_direction=None):
+        object.__setattr__(self, "particular", particular)
+        if null_direction is not None:   # shadows the cached_property below
+            object.__setattr__(self, "null_direction", null_direction)
+
+    @cached_property
+    def null_direction(self) -> np.ndarray:
+        p = self.particular
+        return _checkerboard(p.grid.n_unknowns, p.values.dtype)
 
     def member(self, t) -> EdgeField1D:
         """The family member at parameter value t."""
@@ -225,8 +242,9 @@ class Family:
         """The single member with e_{pin_index} = pin_value (1-based index)."""
         p = self.particular
         k, sign, v = _checked_pin(p.grid.n_unknowns, p.exact, pin_index, pin_value)
-        with np.errstate(over="ignore"):  # _shift reports it
-            return _shift(p, sign * (v - p.values[k]))
+        with np.errstate(over="ignore"):  # an infinite t is refused by _shift
+            t = sign * (v - p.values[k])
+        return _shift(p, t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,17 +292,21 @@ def solvability_report(n_edges: int) -> SolvabilityReport:
 
 
 def _checkerboard(m: int, dtype) -> np.ndarray:
-    """The null direction (+1, -1, +1, ...) of length m in ``dtype``, for
-    :class:`Family`; the kernel negates alternate slots in place instead."""
+    """The null direction (+1, -1, +1, ...) of length m in ``dtype`` (Python ints
+    for object), built only when :attr:`Family.null_direction` is first read;
+    the kernel negates alternate slots in place instead."""
     signs = np.ones(m, dtype=dtype)
     signs[1::2] = -1
     return signs
 
 
+_OVERFLOW = "{} overflow float64: the input is too large in magnitude"
+
+
 def check_finite(values, what: str):
     """Return ``values``, or raise ValueError if a float result overflowed."""
     if np.asarray(values).dtype.kind == "f" and not np.all(np.isfinite(values)):
-        raise ValueError(f"{what} overflow float64: the input is too large in magnitude")
+        raise ValueError(_OVERFLOW.format(what))
     return values
 
 
@@ -343,14 +365,20 @@ def _telescope(first, partial: np.ndarray) -> np.ndarray:
 
 
 def _shift(particular: EdgeField1D, t) -> EdgeField1D:
-    """The member ``particular + t * checkerboard``: t added in place to the odd-k
-    slots of a copy and subtracted from the even-k ones, with no sign array;
-    ValueError if it overflows."""
-    e = particular.values.copy()
-    with np.errstate(over="ignore", invalid="ignore"):  # check_finite reports it
-        e[..., 0::2] += t
-        e[..., 1::2] -= t
-    return _kernel_field(EdgeField1D, grid=particular.grid, values=check_finite(e, "edge values"))
+    """The member ``particular + t * checkerboard``: p + t at the odd-k slots and
+    p - t at the even-k ones, written into one new buffer (no copy, no sign
+    array); ValueError if t is infinite or the member overflows."""
+    p = particular.values
+    if p.dtype.kind == "f" and not math.isfinite(t):
+        raise ValueError(_OVERFLOW.format("edge values"))
+    e = np.empty_like(p)
+    try:
+        with np.errstate(over="raise"):   # p and t are finite: the flag marks overflow
+            np.add(p[..., 0::2], t, out=e[..., 0::2])
+            np.subtract(p[..., 1::2], t, out=e[..., 1::2])
+    except FloatingPointError:
+        raise ValueError(_OVERFLOW.format("edge values")) from None
+    return _kernel_field(EdgeField1D, grid=particular.grid, values=e)
 
 
 def _line_mean(total, x: np.ndarray):
@@ -402,6 +430,8 @@ def solve_lines(c: np.ndarray, tolerance: float = DEFAULT_TOLERANCE):
     e_i + e_{i+1} = 2 c_i, and for even M the residual 2 S and the test
     |2 S| <= (tolerance + 2 M u) max|c|, u = 2^-53: within one rounding per center
     (S == 0 for Fractions); else None, None.  :func:`complete_lines` checks tolerance.
+    A float line whose 2 S overflows is decided at 2^-k, k = ceil(log2 M), and
+    its residual is 2^k 2 S', +-inf where that does not fit either.
 
     P is a new buffer.  On the row path (:func:`_rowwise`) it is laid out
     position-outermost and summed with one row add per position, and S is row
@@ -431,9 +461,17 @@ def solve_lines(c: np.ndarray, tolerance: float = DEFAULT_TOLERANCE):
         s = alternating_sums(c)
         if m % 2 == 1:
             return partial, s, None, None
-        residual = check_finite(2 * s, "the consistency residual")
+        residual = 2 * s
         allowance = 0 if c.dtype == object else tolerance + 2 * m * 2.0**-53
         consistent = np.abs(residual) <= allowance * max_abs
+        if c.dtype != object and not np.all(np.isfinite(residual)):
+            # decide only those lines at 2^-k, where S fits (see _line_mean): others may be tiny
+            residual, consistent = np.array(residual), np.array(consistent)
+            bad = ~np.isfinite(residual)
+            scale = 2.0 ** (m - 1).bit_length()
+            s_scaled = alternating_sums(c[bad] / scale)
+            residual[bad] = 2 * scale * s_scaled
+            consistent[bad] = np.abs(s_scaled) <= allowance * (max_abs[bad] / (2 * scale))
     return partial, s, residual, consistent
 
 
@@ -504,13 +542,12 @@ def _neighbour_sums(x: np.ndarray) -> np.ndarray:
     C-contiguous lines are summed as one flat run (one inner loop, not one per
     line); where a line meets the next, the wrap then overwrites the slot."""
     out = np.empty_like(x)
-    with np.errstate(over="ignore"):  # average_lines retries on halves
-        if x.flags.c_contiguous:
-            flat, flat_out = x.reshape(-1), out.reshape(-1)
-            np.add(flat[:-1], flat[1:], out=flat_out[:-1])
-        else:
-            np.add(x[..., :-1], x[..., 1:], out=out[..., :-1])
-        np.add(x[..., -1], x[..., 0], out=out[..., -1])
+    if x.flags.c_contiguous:
+        flat, flat_out = x.reshape(-1), out.reshape(-1)
+        np.add(flat[:-1], flat[1:], out=flat_out[:-1])
+    else:
+        np.add(x[..., :-1], x[..., 1:], out=out[..., :-1])
+    np.add(x[..., -1], x[..., 0], out=out[..., -1])
     return out
 
 
@@ -518,13 +555,16 @@ def average_lines(e: np.ndarray) -> np.ndarray:
     """Centers c_i = (e_i + e_{i+1}) / 2 of every line, with e_{M+1} = e_1.
 
     The sums go straight into the output (no rolled copy of e, no sign array)
-    and are halved in place.  Where a sum overflows float64, the halves are
-    added instead: the mean of finite values is always finite.
+    and are halved in place.  Where a sum overflows float64 (read from the FP
+    flag: edges are finite), the halves are added instead: the mean of finite
+    values is always finite.
     """
-    c = _neighbour_sums(e)
+    try:
+        with np.errstate(over="raise"):
+            c = _neighbour_sums(e)
+    except FloatingPointError:
+        return _neighbour_sums(e / 2)
     c /= 2
-    if c.dtype.kind == "f" and not np.all(np.isfinite(c)):
-        c = _neighbour_sums(e / 2)
     return c
 
 
@@ -568,8 +608,8 @@ def edges_from_centers(centers: CenterField1D,
     ("pin", 1, 0), a :class:`Family` whose particular is that member, e_1 = 0,
     when the line is consistent (|2 S| <= (tolerance + 2 M u) max|c|, u = 2^-53:
     within one rounding per center; S == 0 in exact mode), else
-    :class:`Inconsistent` with the gate's residual.  Raises ValueError when the
-    edges (or that particular) overflow float64.
+    :class:`Inconsistent` with the gate's residual (+-inf if it overflows).
+    Raises ValueError when the edges (or that particular) overflow float64.
     """
     grid = centers.grid
     if grid.is_odd:
@@ -579,8 +619,7 @@ def edges_from_centers(centers: CenterField1D,
         particular, _ = complete_lines(centers.values, "pin", tolerance, 1, 0)
     except InconsistentDataError as exc:
         return Inconsistent(exc.residual)
-    return Family(_kernel_field(EdgeField1D, grid=grid, values=particular),
-                  _checkerboard(grid.n_unknowns, centers.values.dtype))
+    return Family(_kernel_field(EdgeField1D, grid=grid, values=particular))
 
 
 def complete_min_norm(outcome: SolveOutcome) -> EdgeField1D:

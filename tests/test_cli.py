@@ -204,6 +204,17 @@ class TestToEdges:
         assert proc.returncode == 5
         assert b"residual" in proc.stderr
 
+    def test_overflowing_residual_exit_5(self, tmp_path):
+        # 2 S overflows float64, yet the line is plainly inconsistent
+        centers = tmp_path / "c.txt"
+        write_centered(centers, [[1e308, -1e308] * 4])
+        proc = run_cli("to-edges", "--input", str(centers), "--axis", "1",
+                       "--n-edges", "10", "--strategy", "min-norm",
+                       "--output", str(tmp_path / "o.txt"))
+        assert proc.returncode == 5
+        assert proc.stderr.decode().splitlines() == [
+            "error: line (0,) admits no edge solution (residual -inf, tolerance 1e-10)"]
+
     def test_pin_flags_required_exit_2(self, tmp_path):
         centers = tmp_path / "c.txt"
         write_centered(centers, [[1.0], [2.0], [3.0], [2.0]])
