@@ -28,6 +28,9 @@ from .errors import FieldFormatError
 from .ndfield import FieldND
 
 _MAGIC = "staggrid-field 1"
+#: What float() takes but a written value never holds: digit separators and
+#: the blanks it strips.
+_NOT_IN_VALUES = "_ \t\v\f"
 
 
 def write_field(path: Union[str, os.PathLike], field: FieldND) -> None:
@@ -59,7 +62,11 @@ def read_field(path: Union[str, os.PathLike]) -> FieldND:
     except UnicodeDecodeError as exc:
         raise FieldFormatError(f"field file {path} is not ASCII text") from exc
 
-    lines = raw.splitlines()
+    # "\n" only: text mode has turned "\r\n" and "\r" into it, and splitlines
+    # would also break at "\v", "\f" and "\x1c".."\x1e", inside a value or header
+    lines = raw.split("\n")
+    if lines[-1] == "":
+        lines.pop()   # the final newline ends the last line: no empty entry
     if len(lines) < 5:
         raise FieldFormatError(f"field file {path} is truncated: header incomplete")
     if lines[0] != _MAGIC:
@@ -84,17 +91,16 @@ def read_field(path: Union[str, os.PathLike]) -> FieldND:
         )
 
     body = lines[5:]
-    # A trailing newline produces no extra entry; splitlines already drops it.
     if len(body) != count:
         raise FieldFormatError(
             f"field file {path}: expected {count} values, found {len(body)}"
         )
-    # float() would also accept digit separators and surrounding blanks, so
-    # scan the body text for them once; a value never contains any.  Text
-    # mode has turned every line break into one character.
+    # float() would also accept digit separators and surrounding blanks (\v
+    # and \f among them), so scan the body text for them once; a value never
+    # contains any.
     start = sum(len(line) + 1 for line in lines[:5])
-    if any(raw.find(ch, start) >= 0 for ch in "_ \t"):
-        k = next(k for k, token in enumerate(body) if any(ch in token for ch in "_ \t"))
+    if any(raw.find(ch, start) >= 0 for ch in _NOT_IN_VALUES):
+        k = next(k for k, token in enumerate(body) if any(ch in token for ch in _NOT_IN_VALUES))
         raise FieldFormatError(f"field file {path}: bad value on line {6 + k}: {body[k]!r}")
     try:
         values = np.array(body, dtype=np.float64)

@@ -40,7 +40,10 @@ sequence, so P has the same bits either way; before that, P holds
 sums, as np.sum gives them for a line alone: of the differences of c, and of
 the pair sums P_{2j-1} + P_{2j} or, in Family, their doubles, the differences
 of the particular.  On the row path S and the gate's mean are row adds in
-numpy's pairwise order instead, with the same bits.
+numpy's pairwise order instead, with the same bits.  Off it, a float sum of
+more than ``_LEAF`` terms is split as numpy splits it, and each run of at most
+``_LEAF`` terms is made in one scratch of ``_LEAF`` terms per line and summed
+there: again the same bits, and no temporary holding half a line.
 
 Each call builds only what it returns (:class:`Family` its null direction on
 first read).  Overflow of the edges from P and of 2 S, whose inputs may be
@@ -144,6 +147,11 @@ def checked_floats(values) -> np.ndarray:
     if not finite.all():
         k = int(np.flatnonzero(~finite)[0])
         raise ValueError(f"non-finite value at flat index {k}: {arr.flat[k]!r}")
+    if np.finfo(raw.dtype).nmant > 52:   # a long double: compared at its own width
+        rounded = np.flatnonzero(arr != raw)
+        if rounded.size:
+            k = int(rounded[0])
+            raise ValueError(f"value at flat index {k} has no exact float64 value: {raw.flat[k]!r}")
     return arr
 
 
@@ -324,32 +332,61 @@ def alternating_sums(c: np.ndarray):
 
 def _pair_total(op, x: np.ndarray, first: int = 0):
     """sum_j op(x_{first+2j+1}, x_{first+2j}) of every line of ``x``, with the bits
-    np.sum gives the C-order terms of the line alone.  On the row path
-    :func:`_pairwise_rows` adds the terms, made one row at a time, and then +0.0,
-    where numpy's accumulator starts (an all -0.0 line sums to +0.0)."""
+    np.sum gives the C-order terms of the line alone.  :func:`_pairwise_rows` adds
+    them on the row path, made one row at a time, and off it on a float line of
+    more than ``_LEAF`` terms, split as numpy splits them into runs of at most
+    ``_LEAF``, each made in one scratch of ``_LEAF`` terms per line and reduced
+    there by np.add.reduce, as np.sum reduces: no temporary holds half a line.
+    Either way +0.0, where numpy's accumulator starts, is added last (an all
+    -0.0 line sums to +0.0)."""
     n = (x.shape[-1] - first) // 2
-    if x.dtype == object or n == 0 or not _rowwise(x):
+    rowwise = _rowwise(x)
+    if x.dtype == object or n == 0 or (n <= _LEAF and not rowwise):
         return np.sum(op(x[..., first + 1::2], x[..., first::2], order="C"), axis=-1)
-    total = _pairwise_rows(lambda j: op(x[..., first + 2 * j + 1], x[..., first + 2 * j]), n)
+    if rowwise:
+        total = _pairwise_rows(lambda j: op(x[..., first + 2 * j + 1], x[..., first + 2 * j]), n)
+    else:
+        scratch = np.empty(x.shape[:-1] + (_LEAF,), x.dtype)
+
+        def run(lo, k):   # terms lo .. lo + k - 1, summed as np.sum sums them
+            a = first + 2 * lo
+            out = scratch[..., :k]
+            op(x[..., a + 1:a + 2 * k:2], x[..., a:a + 2 * k - 1:2], out=out)
+            return np.add.reduce(out, axis=-1)
+        total = _pairwise_rows(None, n, run)
     total += 0.0
     return total
 
 
-def _pairwise_rows(term, n: int):
-    """term(0) + ... + term(n - 1) for new rows term(j), 1 <= n <= 128 (the row
-    path has at most 32), added in the order of numpy's pairwise_sum
-    (loops_utils.h.src): under 8 in sequence; else into 8 accumulators
-    r_{j mod 8}, combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)),
-    then the rest in sequence."""
+#: The most terms of a long line that :func:`_pairwise_rows` hands to numpy's
+#: reduction at once: the split above it is numpy's, so the bits are too.  At
+#: least numpy's own block of 128; 8192 float64 terms (64 KiB a line) stay in L2.
+_LEAF = 8192
+
+
+def _pairwise_rows(term, n: int, run=None, lo: int = 0):
+    """term(lo) + ... + term(lo + n - 1) for new rows term(j), added in the order of
+    numpy's pairwise_sum (loops_utils.h.src), as np.sum adds a contiguous line:
+    over 128 terms, the first n2 = n // 2, rounded down to a multiple of 8, and the
+    rest are each summed so and then added; up to 128, under 8 in sequence, else
+    into 8 accumulators r_{j mod 8}, combined as ((r0 + r1) + (r2 + r3)) +
+    ((r4 + r5) + (r6 + r7)), then the rest in sequence.  Given ``run``, the split
+    stops at ``_LEAF`` terms instead, and run(lo, k) sums terms lo .. lo + k - 1,
+    as np.sum of them does, in this same order (``term`` is unused)."""
+    if n > (128 if run is None else _LEAF):
+        n2 = n // 2 - n // 2 % 8
+        return _pairwise_rows(term, n2, run, lo) + _pairwise_rows(term, n - n2, run, lo + n2)
+    if run is not None:
+        return run(lo, n)
     head = n - n % 8 if n >= 8 else 1   # the terms added before the sequential rest
-    r = [term(j) for j in range(min(head, 8))]
+    r = [term(lo + j) for j in range(min(head, 8))]
     for j in range(8, head):
-        r[j % 8] += term(j)
+        r[j % 8] += term(lo + j)
     if n >= 8:
         for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
             r[a] += r[b]
     for j in range(head, n):
-        r[0] += term(j)
+        r[0] += term(lo + j)
     return r[0]
 
 
@@ -396,14 +433,16 @@ def _line_mean(total, x: np.ndarray):
 
 def _finite_number(value, exact: bool, name: str):
     """``value``, any real number but a bool, as a Fraction in exact mode, else
-    as a finite float equal to it (compared as ints for an integer, so one
-    that float64 cannot hold is refused, not rounded); else ValueError."""
+    as a finite float equal to it (an integer or a numpy float, a long double
+    too, is taken whole and compared exactly, so one that float64 cannot hold is
+    refused, not rounded); else ValueError."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        integral = isinstance(value, numbers.Integral)
-        num = int(value) if integral else float(value) if isinstance(value, np.floating) else value
+        whole = isinstance(value, (numbers.Integral, np.floating))
         try:
+            num = (int(value) if isinstance(value, numbers.Integral) else
+                   Fraction(*value.as_integer_ratio()) if whole else value)
             out = Fraction(num) if exact else float(num)
-            if exact or (math.isfinite(out) and (not integral or int(out) == num)):
+            if exact or (math.isfinite(out) and (not whole or out == num)):
                 return out
         except (ValueError, OverflowError):
             pass

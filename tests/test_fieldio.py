@@ -122,11 +122,30 @@ class TestReadErrors:
                                    "staggered-axis none", "count 6", *body])
         assert read_field(p).values.tolist() == [float(t) for t in body]
 
-    @pytest.mark.parametrize("token", ["1_0", "  2.5  ", "2.5 ", "\t2.5", "-1_000.5"])
+    @pytest.mark.parametrize("token", ["1_0", "  2.5  ", "2.5 ", "\t2.5", "-1_000.5",
+                                       "\f2.5", "2.5\v"])
     def test_rejects_values_float_would_accept(self, tmp_path, token):
         p = write_lines(tmp_path, ["staggrid-field 1", "ndim 1", "shape 3",
                                    "staggered-axis none", "count 3", "1.0", "2.0", token])
         with pytest.raises(FieldFormatError, match=re.escape(f"line 8: {token!r}")):
+            read_field(p)
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_a_form_feed_breaks_no_line(self, tmp_path, count):
+        # str.splitlines would read 1.0, 2.0 and 3.0
+        p = tmp_path / "ff.txt"
+        p.write_text("staggrid-field 1\nndim 1\nshape {0}\nstaggered-axis none\n"
+                     "count {0}\n1.0\f2.0\n3.0\n".format(count))
+        match = re.escape("line 6: '1.0\\x0c2.0'") if count == 2 else "expected 3 values, found 2"
+        with pytest.raises(FieldFormatError, match=match):
+            read_field(p)
+
+    def test_a_vertical_tab_breaks_no_header_line(self, tmp_path):
+        # str.splitlines would read the magic line and "ndim 1"
+        p = tmp_path / "vt.txt"
+        p.write_text("staggrid-field 1\vndim 1\nshape 1\nstaggered-axis none\ncount 1\n"
+                     "1.0\n")
+        with pytest.raises(FieldFormatError, match="bad magic line 'staggrid-field 1"):
             read_field(p)
 
     @pytest.mark.parametrize("header,bad", [

@@ -176,6 +176,28 @@ class TestFields:
         assert list(cf.values) == [1, 2**53 + 1, -3]
         assert all(type(v) is Fraction and type(v.numerator) is int for v in cf.values)
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52, reason="long double is float64")
+    def test_long_doubles_are_held_exactly_or_refused(self):
+        x = np.longdouble(1) + np.finfo(np.longdouble).eps   # between two float64 values
+        with pytest.raises(ValueError, match="flat index 3 has no exact float64 value"):
+            FieldND(np.array([[0.5, 1.5], [2.0, x]]))
+        with pytest.raises(ValueError, match="flat index 1 has no exact float64 value"):
+            CenterField1D(PeriodicStagger1D(4), np.array([0.5, x]))
+        with pytest.raises(ValueError, match="value at index 1 must be"):
+            CenterField1D(PeriodicStagger1D(4), np.array([0.5, x], dtype=object))
+        family = edges_from_centers(CenterField1D(PeriodicStagger1D(4), [0.0, 0.0]))
+        with pytest.raises(ValueError, match="t must be"):
+            family.member(x)
+        # exact mode takes the long double's own ratio, not its float64 rounding
+        exact = Fraction(*x.as_integer_ratio())
+        assert exact != 1 and kernel._finite_number(x, True, "x") == exact
+        cf = CenterField1D(PeriodicStagger1D(4), np.array([Fraction(1), x], dtype=object))
+        assert cf.values[1] == exact
+        # values float64 holds pass in either mode
+        held = np.array([0.5, -2.0**-1074, 2.0**1023], dtype=np.longdouble)
+        assert FieldND(held).values.tolist() == [0.5, -2.0**-1074, 2.0**1023]
+        assert kernel._finite_number(held[1], False, "x") == -2.0**-1074
+
     def test_periodic_images(self):
         g = PeriodicStagger1D(6)
         e = EdgeField1D(g, [1.0, 2.0, 3.0, 4.0])
@@ -1023,6 +1045,126 @@ def test_row_sums_follow_numpys_pairwise_order(n):
         assert rows.tobytes() == np.sum(x, axis=-1).tobytes()
 
 
+def pairwise_batches(n, lines):
+    """The batches of the order test above at ``lines`` lines of n terms."""
+    rng = np.random.default_rng(n)
+    batches = rng.standard_normal((5, lines, n))
+    batches[1] += 1e6
+    batches[2] *= 10.0 ** rng.integers(-20, 20, (lines, n))
+    batches[3] *= 2.0**-1060
+    batches[4] = -0.0
+    return batches
+
+
+LONG_SUMS = [129, 136, 255, 1000, 4097, 3 * kernel._LEAF + 5]
+
+
+@pytest.mark.parametrize("n", LONG_SUMS)
+def test_long_row_sums_follow_numpys_pairwise_split(n):
+    """Over 128 terms _pairwise_rows splits as numpy's pairwise_sum does, at
+    n // 2 rounded down to a multiple of 8, and gives np.sum's bits."""
+    for x in pairwise_batches(n, 4):
+        rows = 0.0 + kernel._pairwise_rows(lambda j: x[:, j].copy(), n)
+        assert rows.tobytes() == np.sum(x, axis=-1).tobytes()
+
+
+@pytest.mark.parametrize("leaf", [128, 136, kernel._LEAF])
+@pytest.mark.parametrize("n", LONG_SUMS)
+def test_long_line_sums_follow_numpys_pairwise_split(n, leaf, monkeypatch):
+    """Off the row path, a float line of more than _LEAF terms is summed in runs
+    of at most _LEAF, each made in one scratch and reduced there, split as numpy
+    splits: the bits of np.sum of the whole line, for any run length from
+    numpy's own block of 128 up, on 1-D and N-D lines."""
+    monkeypatch.setattr(kernel, "_LEAF", leaf)
+    for x in pairwise_batches(n, 3):
+        y = np.zeros((3, 2 * n))
+        y[:, 1::2] = x   # x_j - 0.0 is x_j, -0.0 too
+        assert not kernel._rowwise(y)
+        assert kernel._pair_total(np.subtract, y).tobytes() == np.sum(x, axis=-1).tobytes()
+        assert kernel._pair_total(np.subtract, y[1]).tobytes() == np.sum(x[1]).tobytes()
+
+
+def leaf_layouts(m, scale, poison):
+    """Lines of m centers as the kernel sees them: one 1-D line, and an N-D field
+    along each of its three axes, C-ordered and Fortran-ordered, and with the
+    line axis or a non-line axis strided.  The values are standard normal times
+    ``scale``, offset by 1e6 on some lines at scale 1; even lines are averages
+    of edges, consistent up to rounding, but for one poisoned line if ``poison``."""
+    rng = np.random.default_rng(m)
+    e = rng.standard_normal((3, 4, m)) * scale
+    if scale == 1.0:
+        e[1::2] += 1e6
+    c = reference_average(e) if m % 2 == 0 else e
+    if poison:
+        c[2, 1, m // 3] += scale
+    views = [c[2, 1].copy()]
+    for axis in range(3):
+        for order in "CF":
+            views.append(np.moveaxis(np.array(np.moveaxis(c, -1, axis), order=order), axis, -1))
+    views.append(np.repeat(c, 2, axis=-1)[..., ::2])
+    views.append(np.repeat(c, 2, axis=0)[::2])
+    return views
+
+
+def result_or_error(call):
+    """The bits of what ``call`` returns, or its error: the type and message, and
+    the residual and line_coords an InconsistentDataError carries."""
+    try:
+        result = call()
+    except InconsistentDataError as exc:
+        return type(exc), str(exc), bits(exc.residual), exc.line_coords
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return [bits(x) for x in (result if isinstance(result, tuple) else (result,))]
+
+
+def solved(outcome):
+    """The kind and the values of a solve outcome."""
+    if isinstance(outcome, Inconsistent):
+        return type(outcome).__name__, outcome.residual
+    field = outcome.edges if isinstance(outcome, Unique) else outcome.particular
+    return type(outcome).__name__, field.values
+
+
+def completions(c):
+    """What every strategy gives on the lines ``c``; for a 1-D line also what the
+    1-D API gives."""
+    m = c.shape[-1]
+    strategies = [("unique",)] if m % 2 else [("min-norm",), ("pin", 1, 0.0), ("pin", m, -2.5)]
+    calls = [lambda args=args: kernel.complete_lines(c, args[0], 1e-10, *args[1:])
+             for args in strategies]
+    if c.ndim == 1:
+        centers = CenterField1D(PeriodicStagger1D(m + 2), c)
+        calls += [lambda: alternating_residual(centers),
+                  lambda: solved(edges_from_centers(centers)),
+                  lambda: complete_min_norm(edges_from_centers(centers)).values,
+                  lambda: complete_pinned(centers, 2, 1.0).values]
+    return [result_or_error(call) for call in calls]
+
+
+@pytest.mark.parametrize("leaf", [128, 136])
+@pytest.mark.parametrize("m", [257, 258, 513, 1001, 4098])
+def test_leaf_runs_change_no_bit(m, leaf, monkeypatch):
+    """Sums split into runs of 128 or 136 terms give what unsplit sums give:
+    P, S, 2 S and the consistency test as the reference formulas give them, and
+    the edges, residuals, errors and line_coords of every strategy and of the
+    1-D API as np.sum of each line's C-order terms gives them (the default
+    _LEAF still sums these lines whole), from subnormal scale to overflow."""
+    assert m // 2 <= kernel._LEAF
+    for scale in (1.0, 2.0**-1060, 1e307):
+        for poison in (False, True):
+            for c in leaf_layouts(m, scale, poison):
+                unsplit = completions(c)
+                with monkeypatch.context() as patch:
+                    patch.setattr(kernel, "_LEAF", leaf)
+                    assert outcome(lambda: kernel.solve_lines(c, 1e-10)) == outcome(
+                        lambda: reference_solve(c, 1e-10))
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        assert bits(kernel.alternating_sums(c)) == bits(
+                            reference_alternating_sums(c))
+                    assert completions(c) == unsplit
+
+
 # -- memory ------------------------------------------------------------------
 
 
@@ -1081,6 +1223,12 @@ class TestMemoryBudget:
         measured, 2.00 with it), and no copy of the particular or isfinite mask
         beside a member or the centers (1.00 measured, 1.13 with the mask)."""
         assert self.peak_of(name) <= limit
+
+    @pytest.mark.parametrize("name", ["odd edges_from_centers", "even edges_from_centers"])
+    def test_long_sums_hold_no_half_line(self, name):
+        """S sums runs of _LEAF differences in one scratch, not M / 2 of them in a
+        C-order temporary (0.50): 1.13 measured for both, 1.50 with it."""
+        assert self.peak_of(name) <= 1.25
 
     def peak_of(self, name):
         calls = {
