@@ -120,8 +120,18 @@ def read_field(path: Union[str, os.PathLike]) -> FieldND:
         raise FieldFormatError(f"field file {path}: {exc}") from exc
 
 
+def _header_parts(path, line: str):
+    """A header line split at single spaces, its only separator: FieldFormatError
+    on any other whitespace, which str.split() would also split at."""
+    if any(ch.isspace() for ch in line.replace(" ", "")):
+        raise FieldFormatError(
+            f"field file {path}: header line {line!r} holds whitespace other than spaces"
+        )
+    return line.split(" ")
+
+
 def _header_token(path, line: str, key: str) -> str:
-    parts = line.split()
+    parts = _header_parts(path, line)
     if len(parts) != 2 or parts[0] != key:
         raise FieldFormatError(
             f"field file {path}: expected '{key} <value>', got {line!r}"
@@ -141,7 +151,7 @@ def _header_int(path, line: str, key: str) -> int:
 
 
 def _header_shape(path, line: str, ndim: int):
-    parts = line.split()
+    parts = _header_parts(path, line)
     if not parts or parts[0] != "shape":
         raise FieldFormatError(f"field file {path}: expected 'shape ...', got {line!r}")
     if len(parts) != 1 + ndim:

@@ -223,36 +223,52 @@ class Family:
 
     Every member is ``particular + t * null_direction`` for real t; the null
     direction is the checkerboard vector (+1, -1, ...), which averages to
-    zero at every center: float64, or Python ints in exact mode, built on first
-    read unless given (as the dense oracle does).  The particular p is the
-    gate's member pinned at e_1 = 0, so the shift t = e_1 that
-    :func:`complete_lines` picks (P_k = -(-1)^(k-1) p_k / 2) gives the gate's edges.
+    zero at every center.  The family keeps the line's partial sums P, and
+    each completion (:meth:`member`, :meth:`pinned`, :func:`complete_min_norm`)
+    is a choice of e_1 and one telescope from P into a new buffer, as in
+    :func:`complete_lines`, so it gives the gate's edges.  The particular p,
+    the member at t = 0 (e_1 = 0), and the null direction (float64, or Python
+    ints in exact mode) are built on first read, unless given, as the dense
+    oracle gives them.  Reading a particular that overflows float64 raises
+    ValueError, though other members may fit.
+
+    A family made from a given particular keeps it and derives P_k =
+    -(-1)^(k-1) p_k / 2 from it: exactly for Fractions, and for floats but
+    where the last bit of p_k is 2^-1074, whose half rounds, as its members
+    then do.
     """
 
-    particular: EdgeField1D
+    grid: PeriodicStagger1D
 
     def __init__(self, particular: EdgeField1D, null_direction=None):
-        object.__setattr__(self, "particular", particular)
+        partial = particular.values / 2
+        np.negative(partial[0::2], out=partial[0::2])
+        object.__setattr__(self, "grid", particular.grid)
+        object.__setattr__(self, "_partial", partial)
+        object.__setattr__(self, "particular", particular)   # shadows the cached_property
         if null_direction is not None:   # shadows the cached_property below
             object.__setattr__(self, "null_direction", null_direction)
 
     @cached_property
+    def particular(self) -> EdgeField1D:
+        return self.member(0)
+
+    @cached_property
     def null_direction(self) -> np.ndarray:
-        p = self.particular
-        return _checkerboard(p.grid.n_unknowns, p.values.dtype)
+        return _checkerboard(self.grid.n_unknowns, self._partial.dtype)
 
     def member(self, t) -> EdgeField1D:
         """The family member at parameter value t."""
-        p = self.particular
-        return _shift(p, _finite_number(t, p.exact, "t"))
+        return self._completed("t", t)
 
     def pinned(self, pin_index: int, pin_value) -> EdgeField1D:
         """The single member with e_{pin_index} = pin_value (1-based index)."""
-        p = self.particular
-        k, sign, v = _checked_pin(p.grid.n_unknowns, p.exact, pin_index, pin_value)
-        with np.errstate(over="ignore"):  # an infinite t is refused by _shift
-            t = sign * (v - p.values[k])
-        return _shift(p, t)
+        return self._completed("pin", pin_index, pin_value)
+
+    def _completed(self, choice, *args) -> EdgeField1D:
+        partial = self._partial
+        edges = _telescope(_first_edges(partial, choice, *args), partial, np.empty_like(partial))
+        return _kernel_field(EdgeField1D, grid=self.grid, values=edges)
 
 
 @dataclass(frozen=True, eq=False)
@@ -390,38 +406,69 @@ def _pairwise_rows(term, n: int, run=None, lo: int = 0):
     return r[0]
 
 
-def _telescope(first, partial: np.ndarray) -> np.ndarray:
-    """Edges e_k = (-1)^(k-1) 2 (e_1 / 2 - P_k) of every line from e_1 = ``first``,
-    written over its ``partial`` sums P (doubled, then the even-k slots negated,
-    in place: no sign array); ValueError if they overflow float64."""
-    with np.errstate(over="ignore", invalid="ignore"):  # check_finite reports it
-        np.subtract(np.asarray(first)[..., None] / 2, partial, out=partial)
-        partial *= 2
-        np.negative(partial[..., 1::2], out=partial[..., 1::2])
-    return check_finite(partial, "edge values")
+def _telescope(first, partial: np.ndarray, out=None) -> np.ndarray:
+    """Edges e_k = (-1)^(k-1) 2 (e_1 / 2 - P_k) of every line from e_1 = ``first``
+    and its partial sums P, written over P or into ``out`` (doubled, then the
+    even-k slots negated, in place: no sign array).  A line whose e_1 / 2 rounds
+    (a last bit at 2^-1074) takes (-1)^(k-1) (e_1 - 2 P_k) instead, where 2 P_k
+    overflows only with the edge; either way each edge is rounded once.
 
-
-def _shift(particular: EdgeField1D, t) -> EdgeField1D:
-    """The member ``particular + t * checkerboard``: p + t at the odd-k slots and
-    p - t at the even-k ones, written into one new buffer (no copy, no sign
-    array); ValueError if t is infinite or the member overflows."""
-    p = particular.values
-    if p.dtype.kind == "f" and not math.isfinite(t):
-        raise ValueError(_OVERFLOW.format("edge values"))
-    e = np.empty_like(p)
+    ValueError if an edge overflows float64.  e_1 and P_M are checked finite
+    first, O(lines): P_k = P_{k-1} +- c_{k-1} with every c finite, so P is finite
+    exactly when P_M is.  Then overflow is read from the FP flag, with no pass
+    over the edges."""
+    first = np.asarray(first)[..., None]
+    half = first / 2
+    rounded = None
+    if partial.dtype != object:
+        if not (np.all(np.isfinite(first)) and np.all(np.isfinite(partial[..., -1]))):
+            raise ValueError(_OVERFLOW.format("edge values"))
+        if np.any(half * 2 != first):   # rare: otherwise no mask is kept
+            rounded = (half * 2 != first)[..., 0]
+    out = partial if out is None else out
     try:
-        with np.errstate(over="raise"):   # p and t are finite: the flag marks overflow
-            np.add(p[..., 0::2], t, out=e[..., 0::2])
-            np.subtract(p[..., 1::2], t, out=e[..., 1::2])
+        with np.errstate(over="raise"):   # the inputs are finite: the flag marks overflow
+            if rounded is not None:   # made before P is overwritten
+                unhalved = first[rounded] - 2 * partial[rounded]
+            np.subtract(half, partial, out=out)
+            out *= 2
+            if rounded is not None:
+                out[rounded] = unhalved
+            np.negative(out[..., 1::2], out=out[..., 1::2])
     except FloatingPointError:
         raise ValueError(_OVERFLOW.format("edge values")) from None
-    return _kernel_field(EdgeField1D, grid=particular.grid, values=e)
+    return out
+
+
+def _first_edges(partial: np.ndarray, choice: str, *args):
+    """e_1 of every line of an even-N completion, for :func:`_telescope` to run
+    from the partial sums P, by ``choice``:
+
+    * "t", t: the member p + t (+1, -1, ...) of the particular p, e_1 = t;
+    * "min-norm": the member orthogonal to (+1, -1, ...), e_1 = 2 mean(P), the
+      pair sums P_{2j-1} + P_{2j} summed and doubled before the one division;
+    * "pin", k, v: the member with e_k = v, e_1 = 2 P_k + (-1)^(k-1) v, taken as
+      2 (P_k + (-1)^(k-1) v / 2) where halving v is exact, so that 2 P_k
+      cannot overflow on its own.
+
+    An e_1 that overflows float64 is left for :func:`_telescope` to refuse."""
+    exact = partial.dtype == object
+    if choice == "t":
+        return _finite_number(args[0], exact, "t")
+    if choice == "min-norm":
+        return _line_mean(lambda x: 2 * _pair_total(np.add, x), partial)
+    k, sign, v = _checked_pin(partial.shape[-1], exact, *args)
+    with np.errstate(over="ignore"):
+        if v / 2 * 2 == v:
+            return 2 * (partial[..., k] + sign * v / 2)
+        return 2 * partial[..., k] + sign * v
 
 
 def _line_mean(total, x: np.ndarray):
     """``total(x) / M`` per line, M = x.shape[-1], for ``total`` a sum of the M / 2
-    pair sums or differences of x.  Where that overflows, it is taken again on
-    x * 2^-ceil(log2 M), which cannot overflow (see average_lines)."""
+    pair sums or differences of x, or its double.  Where that overflows, it is
+    taken again on x * 2^-ceil(log2 M), where the sum cannot overflow (see
+    average_lines), and the double only where the mean does."""
     m = x.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):  # the retry is finite if x is
         mean = total(x) / m
@@ -433,14 +480,15 @@ def _line_mean(total, x: np.ndarray):
 
 def _finite_number(value, exact: bool, name: str):
     """``value``, any real number but a bool, as a Fraction in exact mode, else
-    as a finite float equal to it (an integer or a numpy float, a long double
-    too, is taken whole and compared exactly, so one that float64 cannot hold is
-    refused, not rounded); else ValueError."""
+    as a finite float equal to it (an integer, a Fraction or a numpy float, a
+    long double too, is taken whole and compared exactly, so one that float64
+    cannot hold is refused, not rounded); else ValueError."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        whole = isinstance(value, (numbers.Integral, np.floating))
+        whole = isinstance(value, (numbers.Rational, np.floating))
         try:
             num = (int(value) if isinstance(value, numbers.Integral) else
-                   Fraction(*value.as_integer_ratio()) if whole else value)
+                   Fraction(*value.as_integer_ratio()) if isinstance(value, np.floating)
+                   else value)
             out = Fraction(num) if exact else float(num)
             if exact or (math.isfinite(out) and (not whole or out == num)):
                 return out
@@ -531,14 +579,13 @@ def complete_lines(c: np.ndarray, strategy: str, tolerance: float = DEFAULT_TOLE
     """``(edges, residual)`` of every line of ``c``: edges completed by
     ``strategy``, and 2 S per line, or None for odd N = M + 2.
 
-    The only caller of :func:`solve_lines`, for the 1-D and N-D APIs alike.  Each
-    strategy picks e_1 per line, then :func:`_telescope` runs: "unique" (odd N)
-    e_1 = S, "min-norm" (even N) e_1 = 2 mean(P), "pin" (even N, and only it
-    takes pin_index = k and pin_value = v) e_1 = 2 P_k + (-1)^(k-1) v; else
-    ParityError.  ("pin", 1, 0) gives the :class:`Family` particular, e_1 = 0.
-    The first line in C order failing the even-N consistency test
-    raises InconsistentDataError with its index in ``line_coords`` (a 1-D ``c``
-    is line (0,)).  Edges that overflow float64, and only they, raise ValueError.
+    The strategy gate for the 1-D and N-D APIs alike.  Each strategy picks e_1
+    per line, then :func:`_telescope` runs over P: "unique" (odd N) e_1 = S,
+    "min-norm" and "pin" (even N, and only "pin" takes pin_index = k and
+    pin_value = v) as :func:`_first_edges` picks them; else ParityError.  The
+    first line in C order failing the even-N consistency test raises
+    InconsistentDataError (see :func:`_consistent_lines`).  Edges that overflow
+    float64, and only they, raise ValueError.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -554,26 +601,33 @@ def complete_lines(c: np.ndarray, strategy: str, tolerance: float = DEFAULT_TOLE
     elif pin_index is not None or pin_value is not None:
         raise ValueError(f"pin_index/pin_value only apply to strategy 'pin', not {strategy!r}")
 
+    partial, first, residual = _consistent_lines(c, tolerance)
+    if not odd:
+        first = _first_edges(partial, strategy, pin_index, pin_value)
+    return _telescope(first, partial), residual
+
+
+def _consistent_lines(c: np.ndarray, tolerance):
+    """``(partial, s, residual)`` of :func:`solve_lines` on every line of ``c``, the
+    only caller, once ``tolerance`` is checked, but for S on even lines: None, as
+    they are done with it once tested.  The first line in C order failing the
+    even-N consistency test raises InconsistentDataError with its index in
+    ``line_coords`` (a 1-D ``c`` is line (0,))."""
     tolerance = _finite_number(tolerance, False, "tolerance")
     if tolerance < 0.0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance!r}")
-    partial, e1, residual, consistent = solve_lines(c, tolerance)
-    if not odd:
-        if not np.all(consistent):
-            first = int(np.flatnonzero(np.logical_not(consistent))[0])
-            coords = tuple(int(x) for x in np.unravel_index(first, np.shape(residual) or (1,)))
-            bad = np.ravel(residual).tolist()[first]   # a float, or a Fraction
-            raise InconsistentDataError(
-                f"line {coords} admits no edge solution "
-                f"(residual {bad}, tolerance {tolerance:g})",
-                residual=bad, line_coords=coords)
-        with np.errstate(over="ignore", invalid="ignore"):  # _telescope reports it
-            if strategy == "min-norm":   # pair sums: half the particular's differences
-                e1 = 2 * _line_mean(lambda x: _pair_total(np.add, x), partial)
-            else:
-                k, sign, v = _checked_pin(c.shape[-1], c.dtype == object, pin_index, pin_value)
-                e1 = 2 * (partial[..., k] + sign * v / 2)
-    return _telescope(e1, partial), residual
+    partial, s, residual, consistent = solve_lines(c, tolerance)
+    if residual is None:
+        return partial, s, None
+    if not np.all(consistent):
+        first = int(np.flatnonzero(np.logical_not(consistent))[0])
+        coords = tuple(int(x) for x in np.unravel_index(first, np.shape(residual) or (1,)))
+        bad = np.ravel(residual).tolist()[first]   # a float, or a Fraction
+        raise InconsistentDataError(
+            f"line {coords} admits no edge solution "
+            f"(residual {bad}, tolerance {tolerance:g})",
+            residual=bad, line_coords=coords)
+    return partial, None, residual
 
 
 def _neighbour_sums(x: np.ndarray) -> np.ndarray:
@@ -644,28 +698,32 @@ def edges_from_centers(centers: CenterField1D,
     """Solve e_i + e_{i+1} = 2 c_i for the edges, classifying the outcome.
 
     Odd N: :func:`complete_lines` with "unique", always :class:`Unique`.  Even N:
-    ("pin", 1, 0), a :class:`Family` whose particular is that member, e_1 = 0,
     when the line is consistent (|2 S| <= (tolerance + 2 M u) max|c|, u = 2^-53:
-    within one rounding per center; S == 0 in exact mode), else
+    within one rounding per center; S == 0 in exact mode), a :class:`Family`
+    holding the partial sums P, with no edge built yet; else
     :class:`Inconsistent` with the gate's residual (+-inf if it overflows).
-    Raises ValueError when the edges (or that particular) overflow float64.
+    Raises ValueError when the edges overflow float64, on even N only when P
+    does, so that no member fits.
     """
     grid = centers.grid
     if grid.is_odd:
         edges, _ = complete_lines(centers.values, "unique", tolerance)
         return Unique(_kernel_field(EdgeField1D, grid=grid, values=edges))
     try:
-        particular, _ = complete_lines(centers.values, "pin", tolerance, 1, 0)
+        partial = _consistent_lines(centers.values, tolerance)[0]
     except InconsistentDataError as exc:
         return Inconsistent(exc.residual)
-    return Family(_kernel_field(EdgeField1D, grid=grid, values=particular))
+    if not centers.exact and not math.isfinite(partial[-1]):
+        raise ValueError(_OVERFLOW.format("edge values"))
+    return _kernel_field(Family, grid=grid, _partial=partial)
 
 
 def complete_min_norm(outcome: SolveOutcome) -> EdgeField1D:
     """Pick the family member of minimal Euclidean norm.
 
-    The projection t* = -<particular, null> / M makes the result orthogonal
-    to the null direction.  Raises unless the outcome actually has a free
+    That member is orthogonal to the null direction, at t* = -<particular,
+    null> / M; it is one telescope from the family's partial sums (see
+    :func:`_first_edges`).  Raises unless the outcome actually has a free
     parameter, and ValueError only when that member overflows float64.
     """
     if isinstance(outcome, Unique):
@@ -678,8 +736,7 @@ def complete_min_norm(outcome: SolveOutcome) -> EdgeField1D:
             f"(residual {outcome.residual!r})",
             residual=outcome.residual,
         )
-    p = outcome.particular
-    return _shift(p, _line_mean(alternating_sums, p.values))
+    return outcome._completed("min-norm")
 
 
 def complete_pinned(centers: CenterField1D, pin_index: int, pin_value,

@@ -171,6 +171,16 @@ class TestToEdges:
         assert proc.returncode == 3
         assert b"bad value on line 6" in proc.stderr
 
+    def test_other_whitespace_in_the_header_exit_3(self, tmp_path):
+        bad = tmp_path / "vt.txt"
+        bad.write_text("staggrid-field 1\nndim\v1\nshape 2\f\nstaggered-axis\x1cnone\n"
+                       "count 2\n1.0\n3.0\n")
+        proc = run_cli("to-edges", "--input", str(bad), "--axis", "0",
+                       "--n-edges", "4", "--strategy", "min-norm",
+                       "--output", str(tmp_path / "o.txt"))
+        assert proc.returncode == 3
+        assert b"whitespace other than spaces" in proc.stderr
+
     def test_missing_input_exit_3(self, tmp_path):
         proc = run_cli("to-edges", "--input", str(tmp_path / "nope.txt"),
                        "--axis", "0", "--n-edges", "5", "--strategy", "unique",

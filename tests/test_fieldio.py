@@ -148,6 +148,15 @@ class TestReadErrors:
         with pytest.raises(FieldFormatError, match="bad magic line 'staggrid-field 1"):
             read_field(p)
 
+    @pytest.mark.parametrize("header", [
+        ["ndim\v1", "shape 2\f", "staggered-axis\x1cnone", "count 2"],   # str.split() reads 1-D
+        ["ndim 1", "shape\t2", "staggered-axis none", "count 2"],
+    ])
+    def test_header_fields_are_split_at_spaces_only(self, tmp_path, header):
+        p = write_lines(tmp_path, ["staggrid-field 1", *header, "1.0", "2.0"])
+        with pytest.raises(FieldFormatError, match="holds whitespace other than spaces"):
+            read_field(p)
+
     @pytest.mark.parametrize("header,bad", [
         (["ndim 1", "shape 1_0", "staggered-axis none", "count 10"], "shape"),
         (["ndim 1", "shape 10", "staggered-axis none", "count 1_0"], "count"),

@@ -516,8 +516,9 @@ def test_batched_matches_dense_oracle(case, seed):
 @settings(max_examples=80, deadline=None)
 def test_min_norm_fits_wherever_its_edges_fit(half, k, seed):
     """Consistent even-N centers scaled by 2^k, near either end of float64: the
-    gate's and the family's min-norm edges are finite whenever the exact ones
-    fit, and the e_1 = 0 particular overflows only where its exact values do."""
+    gate's and both families' min-norm edges are finite whenever the exact ones
+    fit, and the e_1 = 0 particular, when read, overflows only where its exact
+    values do."""
     m = 2 * half
     grid = PeriodicStagger1D(m + 2)
     big = Fraction(np.finfo(np.float64).max)
@@ -534,12 +535,13 @@ def test_min_norm_fits_wherever_its_edges_fit(half, k, seed):
     got = complete_min_norm(exact_family).values.tolist()
     assert got == exact and all(type(v) is Fraction for v in got)
 
-    families = [Family(EdgeField1D(grid, planted), np.array(n))]   # |planted| < 2^1024 fits
+    families = [Family(EdgeField1D(grid, planted), np.array(n)),   # |planted| < 2^1024 fits
+                edges_from_centers(CenterField1D(grid, c))]
     if max(abs(v) for v in exact_family.particular.values) <= big:
-        families.append(edges_from_centers(CenterField1D(grid, c)))
+        assert np.all(np.isfinite(families[1].particular.values))
     else:
         with pytest.raises(ValueError, match="overflow float64"):
-            edges_from_centers(CenterField1D(grid, c))
+            families[1].particular
     routes = [lambda: to_edges_along(FieldND(c), 0, m + 2, "min-norm")[0].values]
     routes += [lambda f=f: complete_min_norm(f).values for f in families]
     fits = max(abs(v) for v in exact) <= big
@@ -573,6 +575,27 @@ def test_first_inconsistent_line_in_c_order(case, data):
     first = min(broken)
     assert info.value.line_coords == tuple(int(x) for x in np.unravel_index(first, other or (1,)))
     assert info.value.residual == 2.0
+
+
+@pytest.mark.parametrize("strategy", ["unique", "min-norm", "pin"])
+def test_lines_at_the_subnormal_scale_get_the_1d_bits(strategy):
+    """Fields of edges up to 2^-1022 in magnitude, where halving e_1, the min-norm
+    mean or a pin value can round: each line gets bit for bit the edges the 1-D
+    API gives it alone, on the row path and off it, from the gate's one e_1 rule
+    and one telescope."""
+    rng = np.random.default_rng(1022)
+    for n_lines in (3, kernel._ROWWISE_MIN_LINES):
+        for m in (range(1, 14, 2) if strategy == "unique" else range(2, 15, 2)):
+            planted = rng.uniform(-1.0, 1.0, (n_lines, m)) * 2.0**-1022
+            centers = kernel.average_lines(planted) if m % 2 == 0 else planted
+            pin = ((int(rng.integers(1, m + 1)), float(rng.integers(-9, 10) | 1) * 2.0**-1074)
+                   if strategy == "pin" else (None, None))
+            edges, _ = to_edges_along(FieldND(centers), 1, m + 2, strategy, DEFAULT_TOLERANCE, *pin)
+            for got, line in zip(edges.values, centers):
+                assert got.tobytes() == solve_line_1d(line, strategy, *pin).tobytes()
+                if strategy == "pin":
+                    c = CenterField1D(PeriodicStagger1D(m + 2), line)
+                    assert got.tobytes() == complete_pinned(c, *pin).values.tobytes()
 
 
 # -- many short lines: P summed one row add per position ------------------------
@@ -707,12 +730,5 @@ def test_many_lines_take_the_row_path_bit_for_bit(case, tolerance, data):
         edges = field_lines(to_edges_along(field, axis, m + 2, strategy, tolerance, *pin)[0]
                             .values, axis)
         for k in sampled:
-            try:
-                want = solve_line_1d(centers[k], strategy, *pin, tolerance)
-            except ValueError as exc:   # the e_1 = 0 particular, which the gate never builds
-                assert "overflow float64" in str(exc)
-                continue
-            # subnormal e_1 loses a bit when _telescope halves it, and only there
-            # does the min-norm mean depend on being taken on the doubled sums
-            assert (np.array_equal(edges[k], want) or np.max(np.abs(want)) < 2.0**-1000
-                    and np.allclose(edges[k], want, rtol=2 * EPS, atol=2.0**-1073))
+            want = solve_line_1d(centers[k], strategy, *pin, tolerance)
+            assert edges[k].tobytes() == want.tobytes()
