@@ -14,13 +14,19 @@ vanishes, and then form a one-parameter family along the checkerboard
 vector (+1, -1, +1, ...).  Either way the recurrence e_{i+1} = 2 c_i - e_i
 telescopes to e_k = (-1)^(k-1) 2 (e_1 / 2 - P_k), P_k = sum_{j<k}
 (-1)^(j-1) c_j, so every completion is a choice of e_1 followed by one pass
-over the partial sums P, which overflows only where an edge does:
+over the partial sums P, which overflows only where an edge does (where
+e_1 / 2 would round, the pass takes (-1)^(k-1) (e_1 - 2 P_k) instead):
 
 * odd N: e_1 = S, the unique solution;
 * the even-N family particular: e_1 = 0;
+* the even-N member p + t (+1, -1, ...): e_1 = t;
 * the even-N minimum-norm member: e_1 = 2 mean(P), orthogonal to the
   checkerboard;
 * the even-N member pinned at e_k = v: e_1 = 2 P_k + (-1)^(k-1) v.
+
+The 1-D and N-D APIs make these choices in one place, :func:`_first_edges`,
+and a :class:`Family` keeps P for them, so a line gets the same edges from
+either API.
 
 S is summed pairwise as adjacent differences, (c_2 - c_1) + (c_4 - c_3) +
 ..., with a leading c_1 when M is odd, so a common offset of the centers
@@ -36,20 +42,21 @@ from the shape) numpy's one inner loop per line costs more than the
 arithmetic, so P is laid out position-outermost and built with one vector add
 per position across all lines.  Both add P_{k-1} + (-1)^(k-2) c_{k-1} in
 sequence, so P has the same bits either way; before that, P holds
-+-c_1..+-c_{M-1}, which give max|c|.  S and both min-norm means are pairwise
++-c_1..+-c_{M-1}, which give max|c|.  S and the min-norm mean are pairwise
 sums, as np.sum gives them for a line alone: of the differences of c, and of
-the pair sums P_{2j-1} + P_{2j} or, in Family, their doubles, the differences
-of the particular.  On the row path S and the gate's mean are row adds in
+the pair sums P_{2j-1} + P_{2j}.  On the row path they are row adds in
 numpy's pairwise order instead, with the same bits.  Off it, a float sum of
 more than ``_LEAF`` terms is split as numpy splits it, and each run of at most
 ``_LEAF`` terms is made in one scratch of ``_LEAF`` terms per line and summed
 there: again the same bits, and no temporary holding half a line.
 
-Each call builds only what it returns (:class:`Family` its null direction on
-first read).  Overflow of the edges from P and of 2 S, whose inputs may be
-infinite already, is found by :func:`check_finite`; that of a member p +- t
-or of neighbour sums of edges, all finite, is read from the FP overflow flag
-(IEEE 754-2008 section 7), with no pass over the output.
+Each call builds only what it returns: an even-N solve keeps P and builds no
+edge, and :class:`Family` builds its particular and null direction on first
+read.  Overflow of the edges and of neighbour sums of edges is read from the
+FP overflow flag (IEEE 754-2008 section 7), with no pass over the output; a
+non-finite e_1 or P shows in the last edge, checked once per line (P is
+finite exactly when P_M is, as every c is).  S, 2 S and the min-norm mean,
+whose inputs may hold inf, are checked per line.
 
 The line kernel works along the last axis of an array of any rank: an N-D
 field runs it once over all of its lines, and the 1-D API is a batch of
@@ -410,24 +417,23 @@ def _telescope(first, partial: np.ndarray, out=None) -> np.ndarray:
     """Edges e_k = (-1)^(k-1) 2 (e_1 / 2 - P_k) of every line from e_1 = ``first``
     and its partial sums P, written over P or into ``out`` (doubled, then the
     even-k slots negated, in place: no sign array).  A line whose e_1 / 2 rounds
-    (a last bit at 2^-1074) takes (-1)^(k-1) (e_1 - 2 P_k) instead, where 2 P_k
-    overflows only with the edge; either way each edge is rounded once.
+    (|e_1| < 2^-1021, with a last bit at 2^-1074) takes (-1)^(k-1) (e_1 - 2 P_k)
+    instead, where 2 P_k overflows only with the edge; either way each edge is
+    rounded once.
 
-    ValueError if an edge overflows float64.  e_1 and P_M are checked finite
-    first, O(lines): P_k = P_{k-1} +- c_{k-1} with every c finite, so P is finite
-    exactly when P_M is.  Then overflow is read from the FP flag, with no pass
-    over the edges."""
+    ValueError if an edge overflows float64, read from the FP flag, with no pass
+    over the edges: where e_1 and P are finite, only overflow makes an edge
+    infinite.  A non-finite e_1 or P shows in the last edge, checked once per
+    line: P_k = P_{k-1} +- c_{k-1} with every c finite, so P is finite exactly
+    when P_M is."""
     first = np.asarray(first)[..., None]
     half = first / 2
     rounded = None
-    if partial.dtype != object:
-        if not (np.all(np.isfinite(first)) and np.all(np.isfinite(partial[..., -1]))):
-            raise ValueError(_OVERFLOW.format("edge values"))
-        if np.any(half * 2 != first):   # rare: otherwise no mask is kept
-            rounded = (half * 2 != first)[..., 0]
+    if partial.dtype != object and np.min(np.abs(first), initial=np.inf) < 2.0**-1021:
+        rounded = (half * 2 != first)[..., 0]
     out = partial if out is None else out
     try:
-        with np.errstate(over="raise"):   # the inputs are finite: the flag marks overflow
+        with np.errstate(over="raise", invalid="ignore"):   # a nan comes from an inf input
             if rounded is not None:   # made before P is overwritten
                 unhalved = first[rounded] - 2 * partial[rounded]
             np.subtract(half, partial, out=out)
@@ -437,6 +443,8 @@ def _telescope(first, partial: np.ndarray, out=None) -> np.ndarray:
             np.negative(out[..., 1::2], out=out[..., 1::2])
     except FloatingPointError:
         raise ValueError(_OVERFLOW.format("edge values")) from None
+    if partial.dtype != object and not np.all(np.isfinite(out[..., -1])):
+        raise ValueError(_OVERFLOW.format("edge values"))
     return out
 
 

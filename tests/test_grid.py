@@ -1263,17 +1263,17 @@ class TestMemoryBudget:
         assert self.peak_of(name) <= limit
 
     @pytest.mark.parametrize("name, limit", [
-        ("even edges_from_centers", 1.15),
+        ("even edges_from_centers", 1.6),
         ("complete_min_norm", 1.05),
         ("Family.pinned", 1.05),
         ("Family.member", 1.05),
         ("centers_from_edges", 1.05),
     ])
     def test_calls_build_only_what_they_return(self, name, limit):
-        """The even solve keeps P and builds no edge, no checkerboard and no
-        isfinite mask (1.09 measured; 1.21 with the mask, 2.00 with the
-        checkerboard), and a member or the centers is one new buffer, with no
-        copy of the particular or mask beside it (1.00 measured, 1.13 with the
+        """The even solve keeps P and builds no edge and no checkerboard (1.09
+        measured, 2.00 with the checkerboard; the mask is held to 1.15 below),
+        and a member or the centers is one new buffer, with no copy of the
+        particular or isfinite mask beside it (1.00 measured, 1.13 with the
         mask)."""
         assert self.peak_of(name) <= limit
 
