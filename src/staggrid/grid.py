@@ -546,7 +546,7 @@ def solve_lines(c: np.ndarray, tolerance: float = DEFAULT_TOLERANCE):
         head = partial[..., 1:]
         max_abs = np.maximum(np.maximum(head.max(axis=-1), -head.min(axis=-1)),
                              np.abs(c[..., -1]))
-    with np.errstate(over="ignore", invalid="ignore"):  # check_finite reports it
+    with np.errstate(over="ignore", invalid="ignore"):  # _telescope and the test below report it
         if rowwise:
             rows = np.moveaxis(partial, -1, 0)
             for k in range(2, m):
