@@ -1,6 +1,10 @@
 """Center/edge variable transforms on periodically staggered 1-D grids,
 applied axis-wise to N-dimensional fields, with exact solvability
 classification and an independent dense-arithmetic oracle.
+
+The transforms need only :mod:`.grid`, :mod:`.ndfield` and :mod:`.fieldio`.
+The dense oracle (:mod:`.exact`) and the self-audit (:mod:`.audit`) only
+certify the transforms, so their public names are imported on first use.
 """
 
 from .errors import (
@@ -8,15 +12,6 @@ from .errors import (
     InconsistentDataError,
     ParityError,
     StagGridError,
-)
-from .exact import (
-    MAX_ORACLE_UNKNOWNS,
-    DenseSystem,
-    EchelonResult,
-    build_system,
-    determinant_exact,
-    row_echelon,
-    solve_dense,
 )
 from .grid import (
     DEFAULT_TOLERANCE,
@@ -37,7 +32,30 @@ from .grid import (
 )
 from .ndfield import FieldND, TransformSummary, to_centers_along, to_edges_along
 from .fieldio import read_field, write_field
-from .audit import AuditRecord, AuditReport, build_audit_report, render_json, render_text
+
+#: The module of each name imported on first use, by :func:`__getattr__`.
+_LAZY = {
+    **dict.fromkeys(("MAX_ORACLE_UNKNOWNS", "DenseSystem", "EchelonResult", "build_system",
+                     "determinant_exact", "row_echelon", "solve_dense"), "exact"),
+    **dict.fromkeys(("AuditRecord", "AuditReport", "build_audit_report", "render_json",
+                     "render_text"), "audit"),
+}
+
+
+def __getattr__(name):
+    """A name of the oracle or the audit, imported and kept here (PEP 562)."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __version__ = "0.1.0"
 

@@ -31,6 +31,8 @@ _MAGIC = "staggrid-field 1"
 #: What float() takes but a written value never holds: digit separators and
 #: the blanks it strips.
 _NOT_IN_VALUES = "_ \t\v\f"
+#: Values formatted per block by write_field.
+_BLOCK = 8192
 
 
 def write_field(path: Union[str, os.PathLike], field: FieldND) -> None:
@@ -42,9 +44,14 @@ def write_field(path: Union[str, os.PathLike], field: FieldND) -> None:
              "staggered-axis " + ("none" if field.staggered_axis is None
                                   else str(field.staggered_axis)),
              f"count {values.size}"]
-    lines.extend(repr(float(v)) for v in values.ravel(order="C"))
+    # float.__repr__ of the Python floats that tolist() makes is repr(float(v));
+    # a block at a time, so that at most _BLOCK of those floats are held at once
+    flat = values.ravel(order="C")
+    for start in range(0, flat.size, _BLOCK):
+        lines.extend(map(float.__repr__, flat[start:start + _BLOCK].tolist()))
+    lines.append("")   # the final newline, in the one joined string
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(lines))
 
 
 def read_field(path: Union[str, os.PathLike]) -> FieldND:

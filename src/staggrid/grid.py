@@ -240,15 +240,22 @@ class Family:
     ValueError, though other members may fit.
 
     A family made from a given particular keeps it and derives P_k =
-    -(-1)^(k-1) p_k / 2 from it: exactly for Fractions, and for floats but
-    where the last bit of p_k is 2^-1074, whose half rounds, as its members
-    then do.
+    -(-1)^(k-1) p_k / 2 from it, which is exact for Fractions and for floats
+    but where the last bit of p_k is 2^-1074: such a particular raises
+    ValueError, as its members would lose that bit.
     """
 
     grid: PeriodicStagger1D
 
     def __init__(self, particular: EdgeField1D, null_direction=None):
-        partial = particular.values / 2
+        values = particular.values
+        partial = values / 2
+        if values.dtype != object and np.min(np.abs(values)) < 2.0**-1021:
+            rounded = np.flatnonzero(partial * 2 != values)
+            if rounded.size:
+                k = int(rounded[0])
+                raise ValueError(f"particular value p_{k + 1} = {float(values[k])!r} has "
+                                 "no exact half, so a family cannot hold it")
         np.negative(partial[0::2], out=partial[0::2])
         object.__setattr__(self, "grid", particular.grid)
         object.__setattr__(self, "_partial", partial)

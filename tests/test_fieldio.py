@@ -50,6 +50,24 @@ class TestRoundTrip:
                     "count 4\n1.0\n0.5\n-3.0\n2.0\n")
         assert path.read_text() == expected
 
+    def test_each_value_line_is_repr_of_its_float(self, tmp_path):
+        special = [-0.0, 5e-324, 1.7e308, 3.0, 1e16, -1e-5]
+        bits = np.random.default_rng(17).integers(0, 2**64, size=11000, dtype=np.uint64)
+        drawn = bits.view(np.float64)
+        vals = np.concatenate([special, drawn[np.isfinite(drawn)][:10**4]])
+        assert vals.size == len(special) + 10**4
+        path = tmp_path / "values.txt"
+        write_field(path, FieldND(vals))
+        lines = path.read_text().split("\n")
+        assert lines[-1] == "" and lines[-2] != ""   # one final newline
+        assert lines[5:-1] == [repr(float(v)) for v in vals]
+
+    def test_empty_field_bytes(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        write_field(path, FieldND(np.zeros((5, 0))))
+        assert path.read_bytes() == (b"staggrid-field 1\nndim 2\nshape 5 0\n"
+                                     b"staggered-axis none\ncount 0\n")
+
 
 def write_lines(tmp_path, lines):
     path = tmp_path / "bad.txt"

@@ -402,6 +402,16 @@ class TestLazyNullDirection:
         want = [p + 3 * n for p, n in zip(dense.particular.values, dense.null_direction)]
         assert list(family.member(3).values) == want
 
+    def test_a_particular_whose_half_rounds_is_refused(self):
+        # P_k = -(-1)^(k-1) p_k / 2 would round 5e-324 to zero, and every member with it
+        with pytest.raises(ValueError, match=r"^particular value p_1 = 5e-324 has no exact half"):
+            Family(EdgeField1D(PeriodicStagger1D(4), [5e-324, -5e-324]))
+        with pytest.raises(ValueError, match=r"^particular value p_3 = 1\.5e-323 "):
+            Family(EdgeField1D(PeriodicStagger1D(6), [0.0, 1e-323, 1.5e-323, -1.0]))
+        # an even last bit halves exactly
+        family = Family(EdgeField1D(PeriodicStagger1D(4), [1e-323, -1e-323]))
+        assert family.member(0).values.tolist() == [1e-323, -1e-323]
+
     def test_a_given_null_direction_is_kept(self):
         dense = solve_dense(build_system(exact_centers(PeriodicStagger1D(6), [1, 2, 3, 2])))
         assert isinstance(dense, Family)
