@@ -29,6 +29,7 @@ from .grid import (
     PeriodicStagger1D,
     SolveOutcome,
     Unique,
+    _kernel_field,
 )
 
 #: Default ceiling on system size for the dense oracle.
@@ -188,7 +189,9 @@ def solve_dense(system: DenseSystem) -> SolveOutcome:
     mode: a full-rank system back-substitutes to :class:`Unique`; a
     rank-deficient one is :class:`Inconsistent` when the zero row keeps a
     nonzero right-hand side, otherwise :class:`Family` with the free
-    variable set to zero and the null direction scaled to lead with +1.
+    variable set to zero and the null direction scaled to lead with +1.  The
+    family keeps that particular and null direction, and its completions run
+    the kernel's telescope from the partial sums of the particular.
     """
     ech = row_echelon(system)
     m = system.m
@@ -215,10 +218,12 @@ def solve_dense(system: DenseSystem) -> SolveOutcome:
         null = [-v for v in null]
     scale = null[0]
     null = [v / scale for v in null]
-    return Family(
-        EdgeField1D(grid, np.array(particular, dtype=object)),
-        np.array(null, dtype=object),
-    )
+    # the kernel's partial sums of this particular, P_k = -(-1)^(k-1) p_k / 2, exact
+    partial = np.array([p / 2 if k % 2 else -p / 2 for k, p in enumerate(particular)],
+                       dtype=object)
+    return _kernel_field(Family, grid=grid, _partial=partial,
+                         particular=EdgeField1D(grid, np.array(particular, dtype=object)),
+                         null_direction=np.array(null, dtype=object))
 
 
 def _back_substitute(a, b, m: int) -> list:

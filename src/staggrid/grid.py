@@ -44,11 +44,11 @@ per position across all lines.  Both add P_{k-1} + (-1)^(k-2) c_{k-1} in
 sequence, so P has the same bits either way; before that, P holds
 +-c_1..+-c_{M-1}, which give max|c|.  S and the min-norm mean are pairwise
 sums, as np.sum gives them for a line alone: of the differences of c, and of
-the pair sums P_{2j-1} + P_{2j}.  On the row path they are row adds in
-numpy's pairwise order instead, with the same bits.  Off it, a float sum of
-more than ``_LEAF`` terms is split as numpy splits it, and each run of at most
-``_LEAF`` terms is made in one scratch of ``_LEAF`` terms per line and summed
-there: again the same bits, and no temporary holding half a line.
+the pair sums P_{2j-1} + P_{2j}, float or Fraction alike, by one of two paths.
+On the row path they are row adds in numpy's pairwise order.  Off it, a sum is
+split as numpy splits it, and each run of at most ``_LEAF`` terms is made in
+one scratch of min(n, ``_LEAF``) terms per line and summed there: the same
+bits either way, and no temporary holding half a line.
 
 Each call builds only what it returns: an even-N solve keeps P and builds no
 edge, and :class:`Family` builds its particular and null direction on first
@@ -239,29 +239,12 @@ class Family:
     oracle gives them.  Reading a particular that overflows float64 raises
     ValueError, though other members may fit.
 
-    A family made from a given particular keeps it and derives P_k =
-    -(-1)^(k-1) p_k / 2 from it, which is exact for Fractions and for floats
-    but where the last bit of p_k is 2^-1074: such a particular raises
-    ValueError, as its members would lose that bit.
+    Only the kernel (:func:`edges_from_centers`) and the dense oracle
+    (:func:`staggrid.exact.solve_dense`) make families; there is no public
+    constructor.
     """
 
     grid: PeriodicStagger1D
-
-    def __init__(self, particular: EdgeField1D, null_direction=None):
-        values = particular.values
-        partial = values / 2
-        if values.dtype != object and np.min(np.abs(values)) < 2.0**-1021:
-            rounded = np.flatnonzero(partial * 2 != values)
-            if rounded.size:
-                k = int(rounded[0])
-                raise ValueError(f"particular value p_{k + 1} = {float(values[k])!r} has "
-                                 "no exact half, so a family cannot hold it")
-        np.negative(partial[0::2], out=partial[0::2])
-        object.__setattr__(self, "grid", particular.grid)
-        object.__setattr__(self, "_partial", partial)
-        object.__setattr__(self, "particular", particular)   # shadows the cached_property
-        if null_direction is not None:   # shadows the cached_property below
-            object.__setattr__(self, "null_direction", null_direction)
 
     @cached_property
     def particular(self) -> EdgeField1D:
@@ -269,7 +252,11 @@ class Family:
 
     @cached_property
     def null_direction(self) -> np.ndarray:
-        return _checkerboard(self.grid.n_unknowns, self._partial.dtype)
+        """(+1, -1, +1, ...) in the dtype of P (Python ints for object); the
+        kernel negates alternate slots in place instead."""
+        signs = np.ones(self.grid.n_unknowns, dtype=self._partial.dtype)
+        signs[1::2] = -1
+        return signs
 
     def member(self, t) -> EdgeField1D:
         """The family member at parameter value t."""
@@ -329,23 +316,7 @@ def solvability_report(n_edges: int) -> SolvabilityReport:
 # -- the line kernel: along the last axis, one line per leading index ---------
 
 
-def _checkerboard(m: int, dtype) -> np.ndarray:
-    """The null direction (+1, -1, +1, ...) of length m in ``dtype`` (Python ints
-    for object), built only when :attr:`Family.null_direction` is first read;
-    the kernel negates alternate slots in place instead."""
-    signs = np.ones(m, dtype=dtype)
-    signs[1::2] = -1
-    return signs
-
-
 _OVERFLOW = "{} overflow float64: the input is too large in magnitude"
-
-
-def check_finite(values, what: str):
-    """Return ``values``, or raise ValueError if a float result overflowed."""
-    if np.asarray(values).dtype.kind == "f" and not np.all(np.isfinite(values)):
-        raise ValueError(_OVERFLOW.format(what))
-    return values
 
 
 def alternating_sums(c: np.ndarray):
@@ -362,21 +333,18 @@ def alternating_sums(c: np.ndarray):
 
 def _pair_total(op, x: np.ndarray, first: int = 0):
     """sum_j op(x_{first+2j+1}, x_{first+2j}) of every line of ``x``, with the bits
-    np.sum gives the C-order terms of the line alone.  :func:`_pairwise_rows` adds
-    them on the row path, made one row at a time, and off it on a float line of
-    more than ``_LEAF`` terms, split as numpy splits them into runs of at most
-    ``_LEAF``, each made in one scratch of ``_LEAF`` terms per line and reduced
-    there by np.add.reduce, as np.sum reduces: no temporary holds half a line.
-    Either way +0.0, where numpy's accumulator starts, is added last (an all
-    -0.0 line sums to +0.0)."""
+    np.sum gives the C-order terms of the line alone, float or Fraction.
+    :func:`_pairwise_rows` adds them on the row path, made one row at a time, and
+    off it split as numpy splits them into runs of at most ``_LEAF``, each made in
+    one scratch of min(n, ``_LEAF``) terms per line and reduced there by
+    np.add.reduce, as np.sum reduces: no temporary holds half a line.  Either way
+    0, where numpy's accumulator starts, is added last: an all -0.0 line sums to
+    +0.0, and a Fraction stays exact."""
     n = (x.shape[-1] - first) // 2
-    rowwise = _rowwise(x)
-    if x.dtype == object or n == 0 or (n <= _LEAF and not rowwise):
-        return np.sum(op(x[..., first + 1::2], x[..., first::2], order="C"), axis=-1)
-    if rowwise:
+    if n and _rowwise(x):
         total = _pairwise_rows(lambda j: op(x[..., first + 2 * j + 1], x[..., first + 2 * j]), n)
     else:
-        scratch = np.empty(x.shape[:-1] + (_LEAF,), x.dtype)
+        scratch = np.empty(x.shape[:-1] + (min(n, _LEAF),), x.dtype)
 
         def run(lo, k):   # terms lo .. lo + k - 1, summed as np.sum sums them
             a = first + 2 * lo
@@ -384,7 +352,7 @@ def _pair_total(op, x: np.ndarray, first: int = 0):
             op(x[..., a + 1:a + 2 * k:2], x[..., a:a + 2 * k - 1:2], out=out)
             return np.add.reduce(out, axis=-1)
         total = _pairwise_rows(None, n, run)
-    total += 0.0
+    total += 0
     return total
 
 
@@ -537,8 +505,8 @@ def solve_lines(c: np.ndarray, tolerance: float = DEFAULT_TOLERANCE):
 
     P is a new buffer.  On the row path (:func:`_rowwise`) it is laid out
     position-outermost and summed with one row add per position, and S is row
-    adds in numpy's pairwise order; otherwise ``np.cumsum`` and ``np.sum`` run
-    along each line.  The bits agree.
+    adds in numpy's pairwise order; otherwise ``np.cumsum`` runs along each line,
+    and S is summed in runs of at most ``_LEAF`` terms.  The bits agree.
     """
     m = c.shape[-1]
     rowwise = _rowwise(c)
@@ -703,8 +671,10 @@ def alternating_residual(centers: CenterField1D):
     is consistent exactly when S vanishes (equivalently, when c_M equals the
     alternating sum of the other centers).  ValueError if it overflows float64.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # check_finite reports it
-        s = check_finite(alternating_sums(centers.values), "the alternating sum")
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        s = alternating_sums(centers.values)
+    if not centers.exact and not math.isfinite(s):
+        raise ValueError(_OVERFLOW.format("the alternating sum"))
     return s if centers.exact else float(s)
 
 
