@@ -2,9 +2,10 @@
 applied axis-wise to N-dimensional fields, with exact solvability
 classification and an independent dense-arithmetic oracle.
 
-The transforms need only :mod:`.grid`, :mod:`.ndfield` and :mod:`.fieldio`.
-The dense oracle (:mod:`.exact`) and the self-audit (:mod:`.audit`) only
-certify the transforms, so their public names are imported on first use.
+The transforms need only :mod:`.grid` and :mod:`.ndfield`.  The field-file
+format (:mod:`.fieldio`), the dense oracle (:mod:`.exact`) and the self-audit
+(:mod:`.audit`) are not needed to transform an array, so their public names
+are imported on first use.
 """
 
 from .errors import (
@@ -31,7 +32,6 @@ from .grid import (
     solvability_report,
 )
 from .ndfield import FieldND, TransformSummary, to_centers_along, to_edges_along
-from .fieldio import read_field, write_field
 
 #: The module of each name imported on first use, by :func:`__getattr__`.
 _LAZY = {
@@ -39,11 +39,12 @@ _LAZY = {
                      "determinant_exact", "row_echelon", "solve_dense"), "exact"),
     **dict.fromkeys(("AuditRecord", "AuditReport", "build_audit_report", "render_json",
                      "render_text"), "audit"),
+    **dict.fromkeys(("read_field", "write_field"), "fieldio"),
 }
 
 
 def __getattr__(name):
-    """A name of the oracle or the audit, imported and kept here (PEP 562)."""
+    """A name of the field files, the oracle or the audit, imported and kept here (PEP 562)."""
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     import importlib

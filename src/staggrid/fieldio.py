@@ -33,25 +33,23 @@ _MAGIC = "staggrid-field 1"
 _NOT_IN_VALUES = "_ \t\v\f"
 #: Values formatted per block by write_field.
 _BLOCK = 8192
+#: Characters of the body split and parsed per window by read_field.
+_WINDOW = 1 << 17
 
 
 def write_field(path: Union[str, os.PathLike], field: FieldND) -> None:
     """Write a field to ``path`` in the plain-text format."""
     values = field.values
-    lines = [_MAGIC,
-             f"ndim {values.ndim}",
-             "shape " + " ".join(str(n) for n in values.shape),
-             "staggered-axis " + ("none" if field.staggered_axis is None
-                                  else str(field.staggered_axis)),
-             f"count {values.size}"]
-    # float.__repr__ of the Python floats that tolist() makes is repr(float(v));
-    # a block at a time, so that at most _BLOCK of those floats are held at once
-    flat = values.ravel(order="C")
-    for start in range(0, flat.size, _BLOCK):
-        lines.extend(map(float.__repr__, flat[start:start + _BLOCK].tolist()))
-    lines.append("")   # the final newline, in the one joined string
+    axis = "none" if field.staggered_axis is None else str(field.staggered_axis)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines))
+        fh.write(f"{_MAGIC}\nndim {values.ndim}\nshape {' '.join(map(str, values.shape))}\n"
+                 f"staggered-axis {axis}\ncount {values.size}\n")
+        # "%r" of the Python floats that tolist() makes is repr(float(v)); one
+        # block at a time, in C order whatever the layout, so that at most
+        # _BLOCK floats and their strings are held at once
+        for start in range(0, values.size, _BLOCK):
+            block = values.flat[start:start + _BLOCK].tolist()
+            fh.write(("%r\n" * len(block)) % tuple(block))
 
 
 def read_field(path: Union[str, os.PathLike]) -> FieldND:
@@ -69,25 +67,29 @@ def read_field(path: Union[str, os.PathLike]) -> FieldND:
     except UnicodeDecodeError as exc:
         raise FieldFormatError(f"field file {path} is not ASCII text") from exc
 
-    # "\n" only: text mode has turned "\r\n" and "\r" into it, and splitlines
-    # would also break at "\v", "\f" and "\x1c".."\x1e", inside a value or header
-    lines = raw.split("\n")
-    if lines[-1] == "":
-        lines.pop()   # the final newline ends the last line: no empty entry
-    if len(lines) < 5:
+    # Lines end at "\n" only: text mode has turned "\r\n" and "\r" into it,
+    # and splitlines would also break at "\v", "\f" and "\x1c".."\x1e", inside
+    # a value or header.  The final newline ends the last line; it opens none.
+    header, start = [], 0
+    while len(header) < 5 and start < len(raw):
+        end = raw.find("\n", start)
+        end = len(raw) if end < 0 else end
+        header.append(raw[start:end])
+        start = end + 1
+    if len(header) < 5:
         raise FieldFormatError(f"field file {path} is truncated: header incomplete")
-    if lines[0] != _MAGIC:
+    if header[0] != _MAGIC:
         raise FieldFormatError(
-            f"field file {path} has bad magic line {lines[0]!r}; expected {_MAGIC!r}"
+            f"field file {path} has bad magic line {header[0]!r}; expected {_MAGIC!r}"
         )
-    ndim = _header_int(path, lines[1], "ndim")
+    ndim = _header_int(path, header[1], "ndim")
     if ndim < 1:
         raise FieldFormatError(f"field file {path}: ndim must be >= 1, got {ndim}")
-    shape = _header_shape(path, lines[2], ndim)
-    axis_token = _header_token(path, lines[3], "staggered-axis")
+    shape = _header_shape(path, header[2], ndim)
+    axis_token = _header_token(path, header[3], "staggered-axis")
     staggered_axis = (None if axis_token == "none" else
                       _plain_int(path, axis_token, "staggered-axis other than 'none'"))
-    count = _header_int(path, lines[4], "count")
+    count = _header_int(path, header[4], "count")
     expected = 1
     for n in shape:
         expected *= n
@@ -97,30 +99,46 @@ def read_field(path: Union[str, os.PathLike]) -> FieldND:
             f"{'x'.join(str(n) for n in shape)} = {expected}"
         )
 
-    body = lines[5:]
-    if len(body) != count:
+    # the body is raw[start:stop], one value per line; counted before anything
+    # is allocated for it
+    stop = len(raw) - raw.endswith("\n")
+    found = raw.count("\n", start, stop) + 1 if start < len(raw) else 0
+    if found != count:
         raise FieldFormatError(
-            f"field file {path}: expected {count} values, found {len(body)}"
+            f"field file {path}: expected {count} values, found {found}"
         )
     # float() would also accept digit separators and surrounding blanks (\v
     # and \f among them), so scan the body text for them once; a value never
     # contains any.
-    start = sum(len(line) + 1 for line in lines[:5])
-    if any(raw.find(ch, start) >= 0 for ch in _NOT_IN_VALUES):
-        k = next(k for k, token in enumerate(body) if any(ch in token for ch in _NOT_IN_VALUES))
-        raise FieldFormatError(f"field file {path}: bad value on line {6 + k}: {body[k]!r}")
-    try:
-        values = np.array(body, dtype=np.float64)
-    except ValueError:
-        # numpy parses what float() parses; float() finds the line to name
-        for k, token in enumerate(body):
-            try:
-                float(token)
-            except ValueError:
-                raise FieldFormatError(
-                    f"field file {path}: bad value on line {6 + k}: {token!r}"
-                ) from None
-        raise
+    bad = [k for k in (raw.find(ch, start) for ch in _NOT_IN_VALUES) if k >= 0]
+    if bad:
+        k = min(bad)
+        first, last = max(raw.rfind("\n", start, k) + 1, start), raw.find("\n", k)
+        line = 6 + raw.count("\n", start, k)
+        raise FieldFormatError(f"field file {path}: bad value on line {line}: "
+                               f"{raw[first:len(raw) if last < 0 else last]!r}")
+    # parsed a window of about _WINDOW characters at a time, so that only one
+    # window's strings are held at once
+    values = np.empty(count)
+    done = 0
+    while start <= stop:
+        end = raw.find("\n", start + _WINDOW, stop)
+        end = stop if end < 0 else end
+        lines = raw[start:end].split("\n")
+        try:
+            values[done:done + len(lines)] = np.array(lines, dtype=np.float64)
+        except ValueError:
+            # numpy parses what float() parses; float() finds the line to name
+            for k, token in enumerate(lines):
+                try:
+                    float(token)
+                except ValueError:
+                    raise FieldFormatError(
+                        f"field file {path}: bad value on line {6 + done + k}: {token!r}"
+                    ) from None
+            raise
+        done += len(lines)
+        start = end + 1
     try:
         return FieldND(values.reshape(shape), staggered_axis=staggered_axis)
     except ValueError as exc:
@@ -165,7 +183,4 @@ def _header_shape(path, line: str, ndim: int):
         raise FieldFormatError(
             f"field file {path}: shape lists {len(parts) - 1} extents but ndim is {ndim}"
         )
-    shape = tuple(_plain_int(path, p, "shape") for p in parts[1:])
-    if any(n < 1 for n in shape):
-        raise FieldFormatError(f"field file {path}: shape extents must be >= 1")
-    return shape
+    return tuple(_plain_int(path, p, "shape") for p in parts[1:])

@@ -76,13 +76,15 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
 from .errors import InconsistentDataError, ParityError
+
+if TYPE_CHECKING:   # imported where a Fraction is made: the float path never loads it
+    from fractions import Fraction
 
 #: Default relative tolerance for the floating-point consistency test.
 DEFAULT_TOLERANCE = 1e-10
@@ -177,6 +179,8 @@ def _coerce_values(values, expected_len: int) -> np.ndarray:
             f"length mismatch: grid expects {expected_len} values, got {arr.shape[0]}"
         )
     if arr.dtype == object:
+        from fractions import Fraction
+
         exact = any(isinstance(v, Fraction) for v in arr)
         return np.array([_finite_number(v, exact, f"value at index {k}")
                          for k, v in enumerate(arr)], dtype=object if exact else np.float64)
@@ -469,10 +473,13 @@ def _finite_number(value, exact: bool, name: str):
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         whole = isinstance(value, (numbers.Rational, np.floating))
         try:
-            num = (int(value) if isinstance(value, numbers.Integral) else
-                   Fraction(*value.as_integer_ratio()) if isinstance(value, np.floating)
-                   else value)
-            out = Fraction(num) if exact else float(num)
+            num = int(value) if isinstance(value, numbers.Integral) else value
+            if exact or isinstance(value, np.floating):
+                from fractions import Fraction
+
+                num = (Fraction(*value.as_integer_ratio()) if isinstance(value, np.floating)
+                       else Fraction(num))
+            out = num if exact else float(num)
             if exact or (math.isfinite(out) and (not whole or out == num)):
                 return out
         except (ValueError, OverflowError):

@@ -316,7 +316,8 @@ class TestToCenters:
                        "--output", str(tmp_path / "o.txt"))
         assert proc.returncode == 3
         assert proc.stderr.decode().splitlines() == [
-            f"error: field file {f}: shape extents must be >= 1"]
+            f"error: field file {f}: staggered axis 1 has extent 0; "
+            "an edge axis holds at least one value"]
 
 
 class TestUsage:

@@ -1,11 +1,12 @@
 """Tests for the plain-text field file format."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from staggrid import FieldFormatError, FieldND, read_field, write_field
+from staggrid import FieldFormatError, FieldND, fieldio, read_field, write_field
 
 
 def roundtrip(tmp_path, field):
@@ -67,6 +68,147 @@ class TestRoundTrip:
         write_field(path, FieldND(np.zeros((5, 0))))
         assert path.read_bytes() == (b"staggrid-field 1\nndim 2\nshape 5 0\n"
                                      b"staggered-axis none\ncount 0\n")
+
+    @pytest.mark.parametrize("shape, axis", [((5, 0), None), ((5, 0), 0), ((0, 3), None),
+                                             ((0, 3), 1)])
+    def test_empty_fields_read_back(self, tmp_path, shape, axis):
+        r = roundtrip(tmp_path, FieldND(np.zeros(shape), staggered_axis=axis))
+        assert r.values.shape == shape and r.staggered_axis == axis
+
+
+def random_bits(n, seed):
+    """``n`` finite float64 values drawn from random bit patterns."""
+    drawn = np.random.default_rng(seed).integers(0, 2**64, size=2 * n + 64,
+                                                 dtype=np.uint64).view(np.float64)
+    return drawn[np.isfinite(drawn)][:n]
+
+
+def reference_text(field):
+    """What write_field wrote when it joined one string per value."""
+    v = field.values
+    lines = ["staggrid-field 1", f"ndim {v.ndim}", "shape " + " ".join(str(n) for n in v.shape),
+             "staggered-axis " + ("none" if field.staggered_axis is None
+                                  else str(field.staggered_axis)),
+             f"count {v.size}"]
+    lines.extend(map(repr, v.ravel(order="C").tolist()))
+    return "\n".join(lines) + "\n"
+
+
+class TestBlockedWrite:
+    """write_field formats _BLOCK values at a time, with the same bytes as one
+    string per value."""
+
+    @pytest.mark.parametrize("n", [1, fieldio._BLOCK - 1, fieldio._BLOCK, fieldio._BLOCK + 1,
+                                   2 * fieldio._BLOCK + 1])
+    def test_bytes_at_block_edges(self, tmp_path, n):
+        field = FieldND(random_bits(n, n))
+        path = tmp_path / "f.txt"
+        write_field(path, field)
+        assert path.read_text() == reference_text(field)
+
+    def test_bytes_of_a_field_not_in_c_order(self, tmp_path):
+        # a moved axis keeps its strides: the blocks are read in C order
+        field = FieldND(np.moveaxis(random_bits(3 * 5000, 5).reshape(5000, 3), 0, -1),
+                        staggered_axis=1)
+        assert not field.values.flags.c_contiguous
+        path = tmp_path / "f.txt"
+        write_field(path, field)
+        assert path.read_text() == reference_text(field)
+        assert np.array_equal(read_field(path).values, field.values)
+
+    def test_bytes_of_the_empty_field(self, tmp_path):
+        field = FieldND(np.zeros((5, 0)))
+        path = tmp_path / "f.txt"
+        write_field(path, field)
+        assert path.read_text() == reference_text(field)
+
+
+HEADER = "staggrid-field 1\nndim 1\nshape {0}\nstaggered-axis none\ncount {0}\n"
+
+
+class TestWindowedRead:
+    """read_field parses the body a window of lines at a time."""
+
+    @pytest.fixture(autouse=True)
+    def small_window(self, monkeypatch):
+        monkeypatch.setattr(fieldio, "_WINDOW", 64)
+
+    def test_random_bits_survive_exactly(self, tmp_path):
+        vals = random_bits(10**4, 23)
+        r = roundtrip(tmp_path, FieldND(vals))
+        assert r.values.tobytes() == vals.tobytes()
+
+    @pytest.mark.parametrize("k", range(40))
+    def test_a_bad_value_is_named_by_its_own_line(self, tmp_path, k):
+        # 5 characters a line: a 64-character window ends after 13 lines, so
+        # the first and the last line of each window are among the k
+        body = ["1.25"] * 40
+        body[k] = "zap!"
+        p = tmp_path / "bad.txt"
+        p.write_text(HEADER.format(40) + "\n".join(body) + "\n")
+        with pytest.raises(FieldFormatError, match=re.escape(f"line {6 + k}: 'zap!'")):
+            read_field(p)
+
+    @pytest.mark.parametrize("text, outcome", [
+        pytest.param(HEADER.format(2) + "1.0\n2.0", [1.0, 2.0], id="no-final-newline"),
+        pytest.param(HEADER.format(2), "expected 2 values, found 0", id="header-only"),
+        pytest.param(HEADER.format(2)[:-1], "expected 2 values, found 0",
+                     id="header-only-no-final-newline"),
+        pytest.param(HEADER.format(0), [], id="empty"),
+        pytest.param(HEADER.format(0)[:-1], [], id="empty-no-final-newline"),
+        pytest.param(HEADER.format(2) + "1.0\n2.0\n\n", "expected 2 values, found 3",
+                     id="blank-last-line"),
+        pytest.param(HEADER.format(3) + "1.0\n2.0\n\n", "bad value on line 8: ''",
+                     id="blank-last-value"),
+        pytest.param(HEADER.format(1) + "\n", "bad value on line 6: ''", id="blank-only-value"),
+    ])
+    def test_edge_files(self, tmp_path, text, outcome):
+        # a list is the values read, a string the start of the error
+        p = tmp_path / "edge.txt"
+        p.write_text(text)
+        if isinstance(outcome, list):
+            assert read_field(p).values.tolist() == outcome
+        else:
+            with pytest.raises(FieldFormatError, match=re.escape(f"field file {p}: {outcome}")):
+                read_field(p)
+
+    def test_a_huge_count_allocates_nothing(self, tmp_path):
+        p = tmp_path / "huge.txt"
+        p.write_text("staggrid-field 1\nndim 2\nshape 1000000 1000000\nstaggered-axis none\n"
+                     "count 1000000000000\n1.0\n2.0\n")
+        with pytest.raises(FieldFormatError, match="expected 1000000000000 values, found 2"):
+            read_field(p)
+
+
+class TestMemoryBudget:
+    """Peak traced bytes of the text format at 2.5e5 values: one block or
+    window of strings at a time, not one string per value."""
+
+    N = 250_000
+
+    @staticmethod
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            call()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_write_holds_one_block_of_strings(self, tmp_path):
+        field = FieldND(np.random.default_rng(1).normal(size=(250, self.N // 250)))
+        peak = self.traced_peak(lambda: write_field(tmp_path / "f.txt", field))
+        assert peak / self.N < 8   # bytes per value; 115 with one string per value
+
+    def test_read_holds_one_window_of_strings(self, tmp_path):
+        path = tmp_path / "f.txt"
+        write_field(path, FieldND(np.random.default_rng(2).normal(size=self.N)))
+        peak = self.traced_peak(lambda: read_field(path))
+        # the text, once as bytes and once decoded, and the values; 6.1 with
+        # one string per line
+        assert peak / path.stat().st_size < 2.5
 
 
 def write_lines(tmp_path, lines):
@@ -204,7 +346,7 @@ class TestReadErrors:
             read_field(p)
 
     def test_zero_extent(self, tmp_path):
+        # FieldND decides: a zero extent is refused only on the staggered axis
         p = write_lines(tmp_path, ["staggrid-field 1", "ndim 1", "shape 0",
                                    "staggered-axis none", "count 0"])
-        with pytest.raises(FieldFormatError):
-            read_field(p)
+        assert read_field(p).values.shape == (0,)

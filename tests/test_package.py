@@ -1,4 +1,4 @@
-"""The package namespace: the oracle and audit names load on first use."""
+"""The package namespace: the field-file, oracle and audit names load on first use."""
 
 import ast
 import importlib
@@ -19,14 +19,18 @@ LAZY = {
               "determinant_exact", "row_echelon", "solve_dense"),
     "audit": ("AuditRecord", "AuditReport", "build_audit_report", "render_json",
               "render_text"),
+    "fieldio": ("read_field", "write_field"),
 }
 
 # Runs in a fresh interpreter: pytest and hypothesis import json, and other
 # tests import the oracle.  Prints, as its last stderr line, the watched
-# modules loaded after each step, with the step's exit code.
+# modules loaded after each step, with the step's exit code.  fractions is
+# watched only where numpy alone does not load it; only the audit uses it.
 _SCRIPT = """
 import sys
-WATCHED = ("staggrid.exact", "staggrid.audit", "json")
+import numpy
+WATCHED = ("staggrid.exact", "staggrid.audit", "json", "staggrid.fieldio",
+           *(() if "fractions" in sys.modules else ("fractions",)))
 steps = []
 def step(name, code=0):
     steps.append((name, code, [m for m in WATCHED if m in sys.modules]))
@@ -40,7 +44,7 @@ step("to-centers", main(["to-centers", "--input", staggered, "--axis", "0",
                          "--output", centered]))
 step("classify", main(["classify", "5"]))
 step("audit", main(["audit", "3", "5"]))
-print(repr(steps), file=sys.stderr)
+print(repr((WATCHED, steps)), file=sys.stderr)
 """
 
 
@@ -51,13 +55,15 @@ def test_transforms_load_neither_the_oracle_nor_json(tmp_path):
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(SRC)))
     assert proc.returncode == 0, proc.stderr
-    steps = ast.literal_eval(proc.stderr.splitlines()[-1])
+    watched, steps = ast.literal_eval(proc.stderr.splitlines()[-1])
+    fractions = ["fractions"] if "fractions" in watched else []
     assert steps == [
         ("import", 0, []),
-        ("to-edges", 0, []),
-        ("to-centers", 0, []),
-        ("classify", 0, []),
-        ("audit", 0, ["staggrid.exact", "staggrid.audit", "json"]),
+        ("to-edges", 0, ["staggrid.fieldio"]),
+        ("to-centers", 0, ["staggrid.fieldio"]),
+        ("classify", 0, ["staggrid.fieldio"]),
+        ("audit", 0, ["staggrid.exact", "staggrid.audit", "json", "staggrid.fieldio",
+                      *fractions]),
     ]
 
 
