@@ -15,6 +15,11 @@ Values are written with ``repr(float(v))``, which round-trips float64
 exactly, and stored in C (row-major) order.  ``staggered-axis`` is either
 ``none`` or the axis index.  Parsing is strict: any malformed header,
 count mismatch, or unreadable value raises FieldFormatError.
+
+Both directions hold one block of strings at a time, never a string per
+value: the write formats ``_BLOCK`` values per write call, and the read
+counts the lines before it allocates the values, then parses the body a
+window of about ``_WINDOW`` characters at a time.
 """
 
 from __future__ import annotations
@@ -113,11 +118,11 @@ def read_field(path: Union[str, os.PathLike]) -> FieldND:
     bad = [k for k in (raw.find(ch, start) for ch in _NOT_IN_VALUES) if k >= 0]
     if bad:
         k = min(bad)
-        first, last = max(raw.rfind("\n", start, k) + 1, start), raw.find("\n", k)
+        first, last = raw.rfind("\n", 0, k) + 1, raw.find("\n", k)   # raw[start - 1] is "\n"
         line = 6 + raw.count("\n", start, k)
         raise FieldFormatError(f"field file {path}: bad value on line {line}: "
                                f"{raw[first:len(raw) if last < 0 else last]!r}")
-    # parsed a window of about _WINDOW characters at a time, so that only one
+    # a window of about _WINDOW characters at a time, so that only one
     # window's strings are held at once
     values = np.empty(count)
     done = 0

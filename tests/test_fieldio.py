@@ -98,8 +98,8 @@ class TestBlockedWrite:
     """write_field formats _BLOCK values at a time, with the same bytes as one
     string per value."""
 
-    @pytest.mark.parametrize("n", [1, fieldio._BLOCK - 1, fieldio._BLOCK, fieldio._BLOCK + 1,
-                                   2 * fieldio._BLOCK + 1])
+    @pytest.mark.parametrize("n", [0, 1, fieldio._BLOCK - 1, fieldio._BLOCK,
+                                   fieldio._BLOCK + 1, 2 * fieldio._BLOCK + 1])
     def test_bytes_at_block_edges(self, tmp_path, n):
         field = FieldND(random_bits(n, n))
         path = tmp_path / "f.txt"
@@ -115,12 +115,6 @@ class TestBlockedWrite:
         write_field(path, field)
         assert path.read_text() == reference_text(field)
         assert np.array_equal(read_field(path).values, field.values)
-
-    def test_bytes_of_the_empty_field(self, tmp_path):
-        field = FieldND(np.zeros((5, 0)))
-        path = tmp_path / "f.txt"
-        write_field(path, field)
-        assert path.read_text() == reference_text(field)
 
 
 HEADER = "staggrid-field 1\nndim 1\nshape {0}\nstaggered-axis none\ncount {0}\n"
@@ -171,13 +165,6 @@ class TestWindowedRead:
         else:
             with pytest.raises(FieldFormatError, match=re.escape(f"field file {p}: {outcome}")):
                 read_field(p)
-
-    def test_a_huge_count_allocates_nothing(self, tmp_path):
-        p = tmp_path / "huge.txt"
-        p.write_text("staggrid-field 1\nndim 2\nshape 1000000 1000000\nstaggered-axis none\n"
-                     "count 1000000000000\n1.0\n2.0\n")
-        with pytest.raises(FieldFormatError, match="expected 1000000000000 values, found 2"):
-            read_field(p)
 
 
 class TestMemoryBudget:
@@ -326,6 +313,13 @@ class TestReadErrors:
     def test_header_integers_are_plain_digits(self, tmp_path, header, bad):
         p = write_lines(tmp_path, ["staggrid-field 1", *header] + ["1.0"] * 10)
         with pytest.raises(FieldFormatError, match=f": {bad} .*must be plain digits"):
+            read_field(p)
+
+    def test_a_huge_count_allocates_nothing(self, tmp_path):
+        p = tmp_path / "huge.txt"
+        p.write_text("staggrid-field 1\nndim 2\nshape 1000000 1000000\nstaggered-axis none\n"
+                     "count 1000000000000\n1.0\n2.0\n")
+        with pytest.raises(FieldFormatError, match="expected 1000000000000 values, found 2"):
             read_field(p)
 
     def test_non_finite_value(self, tmp_path):
