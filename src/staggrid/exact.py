@@ -212,8 +212,8 @@ def solve_dense(system: DenseSystem) -> SolveOutcome:
     # pivots.  Set that unknown to zero for the particular solution and
     # solve the homogeneous system for the null direction.
     free_col = next(c for c in range(m) if c not in ech.pivot_columns)
-    particular = _solve_with_free(a, b, m, free_col, Fraction(0))
-    null = _solve_with_free(a, [Fraction(0)] * m, m, free_col, Fraction(1))
+    particular = _back_substitute(a, b, m, free_col, Fraction(0))
+    null = _back_substitute(a, [Fraction(0)] * m, m, free_col, Fraction(1))
     if null[0] < 0:
         null = [-v for v in null]
     scale = null[0]
@@ -226,21 +226,12 @@ def solve_dense(system: DenseSystem) -> SolveOutcome:
                          null_direction=np.array(null, dtype=object))
 
 
-def _back_substitute(a, b, m: int) -> list:
-    sol = [Fraction(0)] * m
-    for r in range(m - 1, -1, -1):
-        acc = b[r]
-        for c in range(r + 1, m):
-            acc -= a[r][c] * sol[c]
-        sol[r] = acc / a[r][r]
-    return sol
-
-
-def _solve_with_free(a, b, m: int, free_col: int, free_value: Fraction) -> list:
-    """Back-substitute a rank-(m-1) echelon system with one fixed unknown."""
-    sol: list = [None] * m
-    sol[free_col] = free_value
-    for r in range(m - 2, -1, -1):
+def _back_substitute(a, b, m: int, free_col: Optional[int] = None,
+                     free_value: Fraction = Fraction(0)) -> list:
+    """Back-substitute an echelon system of rank m, or of rank m - 1 with the
+    unknown ``free_col`` fixed at ``free_value``."""
+    sol: list = [free_value] * m
+    for r in range(m - 1 - (free_col is not None), -1, -1):
         pivot_col = next(c for c in range(m) if a[r][c] != 0)
         acc = b[r]
         for c in range(pivot_col + 1, m):

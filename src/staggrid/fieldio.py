@@ -13,12 +13,15 @@ Format, one item per line:
 
 Values are written with ``repr(float(v))``, which round-trips float64
 exactly, and stored in C (row-major) order.  ``staggered-axis`` is either
-``none`` or the axis index.  Parsing is strict: any malformed header,
-count mismatch, or unreadable value raises FieldFormatError.
+``none`` or the axis index.  A line ends at ``\n``, ``\r\n`` or a lone
+``\r``.  Parsing is strict: any malformed header, count mismatch, or
+unreadable value raises FieldFormatError, and a bad value is named by the
+first line that holds one.
 
 Both directions hold one block of strings at a time, never a string per
-value: the write formats ``_BLOCK`` values per write call, and the read
-counts the lines before it allocates the values, then parses the body a
+value: the write formats ``_BLOCK`` values per write call.  The read takes
+the five header lines one ``readline`` each and the body in one read,
+counts the body's lines before it allocates the values, then parses it a
 window of about ``_WINDOW`` characters at a time.
 """
 
@@ -64,25 +67,20 @@ def read_field(path: Union[str, os.PathLike]) -> FieldND:
     values the field type itself rejects (non-finite entries, axis out of
     range).
     """
+    # text mode ends a line at "\n", "\r\n" or a lone "\r" and hands each on as
+    # "\n"; unlike str.splitlines, at no "\v", "\f" or "\x1c".."\x1e"
     try:
         with open(path, "r", encoding="ascii") as fh:
+            header = [fh.readline() for _ in range(5)]
             raw = fh.read()
     except OSError as exc:
         raise FieldFormatError(f"cannot read field file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise FieldFormatError(f"field file {path} is not ASCII text") from exc
 
-    # Lines end at "\n" only: text mode has turned "\r\n" and "\r" into it,
-    # and splitlines would also break at "\v", "\f" and "\x1c".."\x1e", inside
-    # a value or header.  The final newline ends the last line; it opens none.
-    header, start = [], 0
-    while len(header) < 5 and start < len(raw):
-        end = raw.find("\n", start)
-        end = len(raw) if end < 0 else end
-        header.append(raw[start:end])
-        start = end + 1
-    if len(header) < 5:
+    if not header[4]:
         raise FieldFormatError(f"field file {path} is truncated: header incomplete")
+    header = [line.rstrip("\n") for line in header]
     if header[0] != _MAGIC:
         raise FieldFormatError(
             f"field file {path} has bad magic line {header[0]!r}; expected {_MAGIC!r}"
@@ -104,40 +102,30 @@ def read_field(path: Union[str, os.PathLike]) -> FieldND:
             f"{'x'.join(str(n) for n in shape)} = {expected}"
         )
 
-    # the body is raw[start:stop], one value per line; counted before anything
-    # is allocated for it
+    # the body is raw[:stop], one value per line, the final newline opening
+    # none; counted before anything is allocated for it
     stop = len(raw) - raw.endswith("\n")
-    found = raw.count("\n", start, stop) + 1 if start < len(raw) else 0
+    found = raw.count("\n", 0, stop) + 1 if raw else 0
     if found != count:
         raise FieldFormatError(
             f"field file {path}: expected {count} values, found {found}"
         )
-    # float() would also accept digit separators and surrounding blanks (\v
-    # and \f among them), so scan the body text for them once; a value never
-    # contains any.
-    bad = [k for k in (raw.find(ch, start) for ch in _NOT_IN_VALUES) if k >= 0]
-    if bad:
-        k = min(bad)
-        first, last = raw.rfind("\n", 0, k) + 1, raw.find("\n", k)   # raw[start - 1] is "\n"
-        line = 6 + raw.count("\n", start, k)
-        raise FieldFormatError(f"field file {path}: bad value on line {line}: "
-                               f"{raw[first:len(raw) if last < 0 else last]!r}")
     # a window of about _WINDOW characters at a time, so that only one
     # window's strings are held at once
     values = np.empty(count)
-    done = 0
-    while start <= stop:
+    done = start = 0
+    while done < count:
         end = raw.find("\n", start + _WINDOW, stop)
         end = stop if end < 0 else end
         lines = raw[start:end].split("\n")
         try:
+            if any(raw.find(ch, start, end) >= 0 for ch in _NOT_IN_VALUES):
+                raise ValueError
             values[done:done + len(lines)] = np.array(lines, dtype=np.float64)
         except ValueError:
-            # numpy parses what float() parses; float() finds the line to name
+            # numpy parses what float() parses; _is_value finds the line to name
             for k, token in enumerate(lines):
-                try:
-                    float(token)
-                except ValueError:
+                if not _is_value(token):
                     raise FieldFormatError(
                         f"field file {path}: bad value on line {6 + done + k}: {token!r}"
                     ) from None
@@ -148,6 +136,15 @@ def read_field(path: Union[str, os.PathLike]) -> FieldND:
         return FieldND(values.reshape(shape), staggered_axis=staggered_axis)
     except ValueError as exc:
         raise FieldFormatError(f"field file {path}: {exc}") from exc
+
+
+def _is_value(token: str) -> bool:
+    """Whether float() parses ``token`` and it holds none of _NOT_IN_VALUES."""
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return not any(ch in token for ch in _NOT_IN_VALUES)
 
 
 def _header_parts(path, line: str):

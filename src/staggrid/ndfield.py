@@ -72,15 +72,14 @@ class TransformSummary:
     """Per-line accounting for one axis transform.
 
     ``max_residual`` is the largest |2 S| seen across even-N lines (0.0 when
-    none apply); on success ``inconsistent_lines`` is always 0 because an
-    inconsistent line raises instead of being skipped.
+    none apply).  No line is counted as inconsistent: such a line raises
+    instead of being skipped.
     """
 
     n_lines: int
-    unique_lines: int
-    family_lines: int
-    inconsistent_lines: int
-    max_residual: float
+    unique_lines: int = 0
+    family_lines: int = 0
+    max_residual: float = 0.0
 
 
 def to_edges_along(field: FieldND, axis: int, n_edges: int, strategy: str,
@@ -118,8 +117,7 @@ def to_edges_along(field: FieldND, axis: int, n_edges: int, strategy: str,
     unique = n_lines if grid.is_odd else 0
     max_residual = 0.0 if residual is None else float(np.max(np.abs(residual), initial=0.0))
     return result, TransformSummary(n_lines=n_lines, unique_lines=unique,
-                                    family_lines=n_lines - unique, inconsistent_lines=0,
-                                    max_residual=max_residual)
+                                    family_lines=n_lines - unique, max_residual=max_residual)
 
 
 def to_centers_along(field: FieldND, axis: int) -> Tuple[FieldND, TransformSummary]:
@@ -137,7 +135,4 @@ def to_centers_along(field: FieldND, axis: int) -> Tuple[FieldND, TransformSumma
         )
     centers = average_lines(np.moveaxis(field.values, axis, -1))
     result = _kernel_field(FieldND, values=np.moveaxis(centers, -1, axis), staggered_axis=None)
-    summary = TransformSummary(n_lines=field.values.size // field.values.shape[axis],
-                               unique_lines=0, family_lines=0, inconsistent_lines=0,
-                               max_residual=0.0)
-    return result, summary
+    return result, TransformSummary(n_lines=field.values.size // field.values.shape[axis])

@@ -143,6 +143,28 @@ class TestWindowedRead:
         with pytest.raises(FieldFormatError, match=re.escape(f"line {6 + k}: 'zap!'")):
             read_field(p)
 
+    @pytest.mark.parametrize("forbidden", ["1_0", " 1.0", "1.0\v", "\f1.0"])
+    @pytest.mark.parametrize("k, later", [(3, 4), (12, 13), (12, 30)])
+    def test_the_first_bad_line_is_named_across_windows(self, tmp_path, forbidden, k, later):
+        # a line float() rejects, then one it takes but a value never holds: in
+        # the same 64-character window, the next one, or one further on
+        body = ["1.25"] * 40
+        body[k], body[later] = "zap!", forbidden
+        p = tmp_path / "bad.txt"
+        p.write_text(HEADER.format(40) + "\n".join(body) + "\n")
+        with pytest.raises(FieldFormatError, match=re.escape(f"line {6 + k}: 'zap!'")):
+            read_field(p)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_other_line_ends_read_the_same_values(self, tmp_path, newline):
+        field = FieldND(random_bits(60, 29).reshape(3, 20), staggered_axis=1)
+        plain, other = tmp_path / "plain.txt", tmp_path / "other.txt"
+        write_field(plain, field)
+        other.write_bytes(plain.read_bytes().replace(b"\n", newline.encode()))
+        want, got = read_field(plain), read_field(other)
+        assert got.values.tobytes() == want.values.tobytes() == field.values.tobytes()
+        assert got.shape == want.shape and got.staggered_axis == want.staggered_axis == 1
+
     @pytest.mark.parametrize("text, outcome", [
         pytest.param(HEADER.format(2) + "1.0\n2.0", [1.0, 2.0], id="no-final-newline"),
         pytest.param(HEADER.format(2), "expected 2 values, found 0", id="header-only"),
@@ -155,6 +177,10 @@ class TestWindowedRead:
         pytest.param(HEADER.format(3) + "1.0\n2.0\n\n", "bad value on line 8: ''",
                      id="blank-last-value"),
         pytest.param(HEADER.format(1) + "\n", "bad value on line 6: ''", id="blank-only-value"),
+        pytest.param(HEADER.format(2) + "1.0\r2.0\n", [1.0, 2.0], id="lone-cr-in-body"),
+        pytest.param(HEADER.format(2).replace("\n", "\r", 4) + "1.0\n2.0", [1.0, 2.0],
+                     id="lone-cr-in-header"),
+        pytest.param(HEADER.format(1) + "1.0\r", [1.0], id="lone-cr-last"),
     ])
     def test_edge_files(self, tmp_path, text, outcome):
         # a list is the values read, a string the start of the error
@@ -257,11 +283,21 @@ class TestReadErrors:
         assert "line 7" in str(info.value)
 
     def test_names_the_first_bad_value(self, tmp_path):
-        body = ["1.0", "2.0", "0x1p3", "3.0", "zap", "4.0"]
-        p = write_lines(tmp_path, ["staggrid-field 1", "ndim 2", "shape 2 3",
-                                   "staggered-axis none", "count 6", *body])
-        with pytest.raises(FieldFormatError, match=re.escape("line 8: '0x1p3'")):
-            read_field(p)
+        for body, line in [
+            (["1.0", "2.0", "0x1p3", "3.0", "zap", "4.0"], 8),
+            # a line float() rejects before one holding a separator or blank
+            (["1.0", "zap", "2.0", "1_0"], 7),
+            (["1.0", "zap", "2.0", " 3.0"], 7),
+            (["nope", "2.0", "3.0", "4.0\v"], 6),
+            (["1.0", "2.0", "0x1p3", "\f4.0"], 8),
+            # and after one
+            (["1.0", "2_0", "zap", "4.0"], 7),
+        ]:
+            p = write_lines(tmp_path, ["staggrid-field 1", "ndim 1", f"shape {len(body)}",
+                                       "staggered-axis none", f"count {len(body)}", *body])
+            with pytest.raises(FieldFormatError,
+                               match=re.escape(f"line {line}: {body[line - 6]!r}")):
+                read_field(p)
 
     def test_accepts_what_float_accepts(self, tmp_path):
         body = ["1e-3", "+.5", "-0", "1E+2", "5.", "007"]

@@ -113,7 +113,7 @@ class TestToEdges:
         assert summary.n_lines == 3
         assert summary.unique_lines == 3
         assert summary.family_lines == 0
-        assert summary.inconsistent_lines == 0
+        assert summary.max_residual == 0.0
 
     def test_unique_along_axis_one(self):
         f = FieldND(np.tile(np.array([[1.0, 2.0, 3.0]]), (4, 1)))
@@ -470,8 +470,7 @@ def test_batched_matches_per_line_1d(case, seed):
                                   pin_index=pin_index, pin_value=pin_value)
     lines = field_lines(centers.values, axis)
     assert summary.n_lines == lines.shape[0]
-    assert (summary.unique_lines + summary.family_lines + summary.inconsistent_lines
-            == summary.n_lines)
+    assert summary.unique_lines + summary.family_lines == summary.n_lines
     assert summary.unique_lines == (summary.n_lines if m % 2 else 0)
     residuals = [abs(2 * alternating_residual(CenterField1D(PeriodicStagger1D(m + 2), line)))
                  for line in lines]
