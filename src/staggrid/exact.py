@@ -214,10 +214,7 @@ def solve_dense(system: DenseSystem) -> SolveOutcome:
     free_col = next(c for c in range(m) if c not in ech.pivot_columns)
     particular = _back_substitute(a, b, m, free_col, Fraction(0))
     null = _back_substitute(a, [Fraction(0)] * m, m, free_col, Fraction(1))
-    if null[0] < 0:
-        null = [-v for v in null]
-    scale = null[0]
-    null = [v / scale for v in null]
+    null = [v / null[0] for v in null]   # leads with +1
     # the kernel's partial sums of this particular, P_k = -(-1)^(k-1) p_k / 2, exact
     partial = np.array([p / 2 if k % 2 else -p / 2 for k, p in enumerate(particular)],
                        dtype=object)

@@ -78,29 +78,7 @@ def read_field(path: Union[str, os.PathLike]) -> FieldND:
     except UnicodeDecodeError as exc:
         raise FieldFormatError(f"field file {path} is not ASCII text") from exc
 
-    if not header[4]:
-        raise FieldFormatError(f"field file {path} is truncated: header incomplete")
-    header = [line.rstrip("\n") for line in header]
-    if header[0] != _MAGIC:
-        raise FieldFormatError(
-            f"field file {path} has bad magic line {header[0]!r}; expected {_MAGIC!r}"
-        )
-    ndim = _header_int(path, header[1], "ndim")
-    if ndim < 1:
-        raise FieldFormatError(f"field file {path}: ndim must be >= 1, got {ndim}")
-    shape = _header_shape(path, header[2], ndim)
-    axis_token = _header_token(path, header[3], "staggered-axis")
-    staggered_axis = (None if axis_token == "none" else
-                      _plain_int(path, axis_token, "staggered-axis other than 'none'"))
-    count = _header_int(path, header[4], "count")
-    expected = 1
-    for n in shape:
-        expected *= n
-    if count != expected:
-        raise FieldFormatError(
-            f"field file {path}: count {count} does not match shape "
-            f"{'x'.join(str(n) for n in shape)} = {expected}"
-        )
+    shape, staggered_axis, count = _header(path, header)
 
     # the body is raw[:stop], one value per line, the final newline opening
     # none; counted before anything is allocated for it
@@ -147,42 +125,52 @@ def _is_value(token: str) -> bool:
     return not any(ch in token for ch in _NOT_IN_VALUES)
 
 
-def _header_parts(path, line: str):
-    """A header line split at single spaces, its only separator: FieldFormatError
-    on any other whitespace, which str.split() would also split at."""
-    if any(ch.isspace() for ch in line.replace(" ", "")):
+def _header(path, lines):
+    """``(shape, staggered_axis, count)`` from the five header lines as readline
+    returned them, else FieldFormatError on the first fault, checked in the order
+    read.  A header line splits at single spaces, its only separator (str.split()
+    would also split at other whitespace), and a header integer is plain ASCII
+    digits, unlike int()."""
+    if not lines[4]:
+        raise FieldFormatError(f"field file {path} is truncated: header incomplete")
+    lines = [line.rstrip("\n") for line in lines]
+    if lines[0] != _MAGIC:
         raise FieldFormatError(
-            f"field file {path}: header line {line!r} holds whitespace other than spaces"
+            f"field file {path} has bad magic line {lines[0]!r}; expected {_MAGIC!r}"
         )
-    return line.split(" ")
-
-
-def _header_token(path, line: str, key: str) -> str:
-    parts = _header_parts(path, line)
-    if len(parts) != 2 or parts[0] != key:
+    fields = {}
+    for line, key in zip(lines[1:], ("ndim", "shape", "staggered-axis", "count")):
+        if any(ch.isspace() for ch in line.replace(" ", "")):
+            raise FieldFormatError(
+                f"field file {path}: header line {line!r} holds whitespace other than spaces"
+            )
+        name, *tokens = line.split(" ")
+        if key == "shape":
+            if name != key:
+                raise FieldFormatError(f"field file {path}: expected 'shape ...', got {line!r}")
+            if len(tokens) != fields["ndim"]:
+                raise FieldFormatError(f"field file {path}: shape lists {len(tokens)} "
+                                       f"extents but ndim is {fields['ndim']}")
+        elif len(tokens) != 1 or name != key:
+            raise FieldFormatError(f"field file {path}: expected '{key} <value>', got {line!r}")
+        if key == "staggered-axis" and tokens == ["none"]:
+            fields[key] = None
+            continue
+        for token in tokens:
+            if not token.isdigit():
+                what = "staggered-axis other than 'none'" if key == "staggered-axis" else key
+                raise FieldFormatError(
+                    f"field file {path}: {what} must be plain digits, got {token!r}")
+        fields[key] = tuple(map(int, tokens)) if key == "shape" else int(tokens[0])
+        if key == "ndim" and fields[key] < 1:
+            raise FieldFormatError(f"field file {path}: ndim must be >= 1, got {fields[key]}")
+    shape, count = fields["shape"], fields["count"]
+    expected = 1
+    for n in shape:
+        expected *= n
+    if count != expected:
         raise FieldFormatError(
-            f"field file {path}: expected '{key} <value>', got {line!r}"
+            f"field file {path}: count {count} does not match shape "
+            f"{'x'.join(str(n) for n in shape)} = {expected}"
         )
-    return parts[1]
-
-
-def _plain_int(path, token: str, key: str) -> int:
-    """A header integer: plain ASCII digits only, unlike int()."""
-    if not token.isdigit():
-        raise FieldFormatError(f"field file {path}: {key} must be plain digits, got {token!r}")
-    return int(token)
-
-
-def _header_int(path, line: str, key: str) -> int:
-    return _plain_int(path, _header_token(path, line, key), key)
-
-
-def _header_shape(path, line: str, ndim: int):
-    parts = _header_parts(path, line)
-    if not parts or parts[0] != "shape":
-        raise FieldFormatError(f"field file {path}: expected 'shape ...', got {line!r}")
-    if len(parts) != 1 + ndim:
-        raise FieldFormatError(
-            f"field file {path}: shape lists {len(parts) - 1} extents but ndim is {ndim}"
-        )
-    return tuple(_plain_int(path, p, "shape") for p in parts[1:])
+    return shape, fields["staggered-axis"], count

@@ -155,12 +155,12 @@ def checked_floats(values) -> np.ndarray:
     finite = np.isfinite(arr)
     if not finite.all():
         k = int(np.flatnonzero(~finite)[0])
-        raise ValueError(f"non-finite value at flat index {k}: {arr.flat[k]!r}")
+        raise ValueError(f"non-finite value at flat index {k}: {arr.flat[k]}")
     if np.finfo(raw.dtype).nmant > 52:   # a long double: compared at its own width
         rounded = np.flatnonzero(arr != raw)
         if rounded.size:
             k = int(rounded[0])
-            raise ValueError(f"value at flat index {k} has no exact float64 value: {raw.flat[k]!r}")
+            raise ValueError(f"value at flat index {k} has no exact float64 value: {raw.flat[k]}")
     return arr
 
 
@@ -313,8 +313,8 @@ def solvability_report(n_edges: int) -> SolvabilityReport:
     grid = PeriodicStagger1D(n_edges)
     m = grid.n_unknowns
     if grid.is_odd:
-        return SolvabilityReport(n_edges, m, "odd", 2, m, OUTCOME_ALWAYS_UNIQUE)
-    return SolvabilityReport(n_edges, m, "even", 0, m - 1, OUTCOME_CONSISTENT_DEPENDENT)
+        return SolvabilityReport(grid.n_edges, m, "odd", 2, m, OUTCOME_ALWAYS_UNIQUE)
+    return SolvabilityReport(grid.n_edges, m, "even", 0, m - 1, OUTCOME_CONSISTENT_DEPENDENT)
 
 
 # -- the line kernel: along the last axis, one line per leading index ---------
@@ -433,36 +433,36 @@ def _first_edges(partial: np.ndarray, choice: str, *args):
 
     * "t", t: the member p + t (+1, -1, ...) of the particular p, e_1 = t;
     * "min-norm": the member orthogonal to (+1, -1, ...), e_1 = 2 mean(P), the
-      pair sums P_{2j-1} + P_{2j} summed and doubled before the one division;
+      pair sums P_{2j-1} + P_{2j} summed and doubled before the one division.
+      Where that overflows, it is taken again on P * 2^-ceil(log2 M): there the
+      sum cannot overflow (see average_lines), and its double only where the
+      mean does;
     * "pin", k, v: the member with e_k = v, e_1 = 2 P_k + (-1)^(k-1) v, taken as
       2 (P_k + (-1)^(k-1) v / 2) where halving v is exact, so that 2 P_k
-      cannot overflow on its own.
+      cannot overflow on its own; ValueError unless k is an int in 1..M and v a
+      finite number.
 
     An e_1 that overflows float64 is left for :func:`_telescope` to refuse."""
     exact = partial.dtype == object
     if choice == "t":
         return _finite_number(args[0], exact, "t")
+    m = partial.shape[-1]
     if choice == "min-norm":
-        return _line_mean(lambda x: 2 * _pair_total(np.add, x), partial)
-    k, sign, v = _checked_pin(partial.shape[-1], exact, *args)
+        with np.errstate(over="ignore", invalid="ignore"):  # the retry is finite if P is
+            mean = 2 * _pair_total(np.add, partial) / m
+            if partial.dtype.kind == "f" and not np.all(np.isfinite(mean)):
+                scale = 2.0 ** (m - 1).bit_length()
+                mean = 2 * _pair_total(np.add, partial / scale) / m * scale
+        return mean
+    k = checked_int(args[0], "pin index")
+    if not 1 <= k <= m:
+        raise ValueError(f"pin index must be in 1..{m}, got {k}")
+    sign = 1 if k % 2 else -1
+    v = _finite_number(args[1], exact, "pin value")
     with np.errstate(over="ignore"):
         if v / 2 * 2 == v:
-            return 2 * (partial[..., k] + sign * v / 2)
-        return 2 * partial[..., k] + sign * v
-
-
-def _line_mean(total, x: np.ndarray):
-    """``total(x) / M`` per line, M = x.shape[-1], for ``total`` a sum of the M / 2
-    pair sums or differences of x, or its double.  Where that overflows, it is
-    taken again on x * 2^-ceil(log2 M), where the sum cannot overflow (see
-    average_lines), and the double only where the mean does."""
-    m = x.shape[-1]
-    with np.errstate(over="ignore", invalid="ignore"):  # the retry is finite if x is
-        mean = total(x) / m
-        if x.dtype.kind == "f" and not np.all(np.isfinite(mean)):
-            scale = 2.0 ** (m - 1).bit_length()
-            mean = total(x / scale) / m * scale
-    return mean
+            return 2 * (partial[..., k - 1] + sign * v / 2)
+        return 2 * partial[..., k - 1] + sign * v
 
 
 def _finite_number(value, exact: bool, name: str):
@@ -542,7 +542,7 @@ def solve_lines(c: np.ndarray, tolerance: float = DEFAULT_TOLERANCE):
         allowance = 0 if c.dtype == object else tolerance + 2 * m * 2.0**-53
         consistent = np.abs(residual) <= allowance * max_abs
         if c.dtype != object and not np.all(np.isfinite(residual)):
-            # decide only those lines at 2^-k, where S fits (see _line_mean): others may be tiny
+            # decide only those lines at 2^-k, where S fits (see _first_edges): others may be tiny
             residual, consistent = np.array(residual), np.array(consistent)
             bad = ~np.isfinite(residual)
             scale = 2.0 ** (m - 1).bit_length()
@@ -550,14 +550,6 @@ def solve_lines(c: np.ndarray, tolerance: float = DEFAULT_TOLERANCE):
             residual[bad] = 2 * scale * s_scaled
             consistent[bad] = np.abs(s_scaled) <= allowance * (max_abs[bad] / (2 * scale))
     return partial, s, residual, consistent
-
-
-def _checked_pin(m: int, exact: bool, pin_index, pin_value):
-    """``(k, (-1)^k, v)`` of the pin e_{k+1} = v on lines of m edges, else ValueError."""
-    pin_index = checked_int(pin_index, "pin index")
-    if not 1 <= pin_index <= m:
-        raise ValueError(f"pin index must be in 1..{m}, got {pin_index}")
-    return pin_index - 1, 1 if pin_index % 2 else -1, _finite_number(pin_value, exact, "pin value")
 
 
 #: Completion strategies accepted by :func:`complete_lines`.

@@ -364,6 +364,53 @@ class TestReadErrors:
         with pytest.raises(FieldFormatError):
             read_field(p)
 
+    @pytest.mark.parametrize("lines,message", [
+        (["staggrid-field 1", "ndim 1"], " is truncated: header incomplete"),
+        (["wrong 1", "ndim 1", "shape 1", "staggered-axis none", "count 1", "1.0"],
+         " has bad magic line 'wrong 1'; expected 'staggrid-field 1'"),
+        (["staggrid-field 1", "ndim 1", "shape\t2", "staggered-axis none", "count 2"],
+         ": header line 'shape\\t2' holds whitespace other than spaces"),
+        (["staggrid-field 1", "ndim 1", "shape 2", "staggered-axis\x1cnone", "count 2"],
+         ": header line 'staggered-axis\\x1cnone' holds whitespace other than spaces"),
+        (["staggrid-field 1", "ndim", "shape 1", "staggered-axis none", "count 1", "1.0"],
+         ": expected 'ndim <value>', got 'ndim'"),
+        (["staggrid-field 1", "ndim 1", "shape 1", "axis none", "count 1", "1.0"],
+         ": expected 'staggered-axis <value>', got 'axis none'"),
+        (["staggrid-field 1", "ndim 1", "shape 1", "staggered-axis none", "count 1 1", "1.0"],
+         ": expected 'count <value>', got 'count 1 1'"),
+        (["staggrid-field 1", "ndim 1", "shapes 1", "staggered-axis none", "count 1", "1.0"],
+         ": expected 'shape ...', got 'shapes 1'"),
+        (["staggrid-field 1", "ndim +1", "shape 1", "staggered-axis none", "count 1", "1.0"],
+         ": ndim must be plain digits, got '+1'"),
+        (["staggrid-field 1", "ndim 2", "shape 1 1_0", "staggered-axis none", "count 10"],
+         ": shape must be plain digits, got '1_0'"),
+        (["staggrid-field 1", "ndim 1", "shape 1", "staggered-axis -0", "count 1", "1.0"],
+         ": staggered-axis other than 'none' must be plain digits, got '-0'"),
+        (["staggrid-field 1", "ndim 1", "shape 1", "staggered-axis none", "count x", "1.0"],
+         ": count must be plain digits, got 'x'"),
+        (["staggrid-field 1", "ndim 0", "shape", "staggered-axis none", "count 1", "1.0"],
+         ": ndim must be >= 1, got 0"),
+        (["staggrid-field 1", "ndim 2", "shape 4", "staggered-axis none", "count 4"],
+         ": shape lists 1 extents but ndim is 2"),
+        (["staggrid-field 1", "ndim 1", "shape 3", "staggered-axis none", "count 2", "1.0",
+          "2.0"], ": count 2 does not match shape 3 = 3"),
+        (["staggrid-field 1", "ndim 2", "shape 2 3", "staggered-axis 0", "count 5"],
+         ": count 5 does not match shape 2x3 = 6"),
+    ])
+    def test_header_messages(self, tmp_path, lines, message):
+        p = write_lines(tmp_path, lines)
+        with pytest.raises(FieldFormatError) as info:
+            read_field(p)
+        assert str(info.value) == f"field file {p}{message}"
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_values_are_named_plainly(self, tmp_path, token):
+        p = write_lines(tmp_path, ["staggrid-field 1", "ndim 1", "shape 2",
+                                   "staggered-axis none", "count 2", "1.0", token])
+        with pytest.raises(FieldFormatError) as info:
+            read_field(p)
+        assert str(info.value) == f"field file {p}: non-finite value at flat index 1: {token}"
+
     def test_bad_staggered_axis(self, tmp_path):
         p = write_lines(tmp_path, ["staggrid-field 1", "ndim 1", "shape 2",
                                    "staggered-axis maybe", "count 2", "1.0", "2.0"])

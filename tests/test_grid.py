@@ -83,6 +83,11 @@ class TestSolvabilityReport:
         assert r.rank == rank
         assert r.outcome_class == cls
 
+    @pytest.mark.parametrize("int_type", [np.int8, np.int64])
+    def test_n_edges_is_a_python_int(self, int_type):
+        report = solvability_report(int_type(6))
+        assert type(report.n_edges) is int and report.n_edges == 6
+
 
 class TestFields:
     def test_length_validation(self):
@@ -98,6 +103,23 @@ class TestFields:
             CenterField1D(g, [1.0, np.nan, 3.0])
         with pytest.raises(ValueError):
             EdgeField1D(g, [1.0, np.inf, 3.0])
+
+    @pytest.mark.parametrize("bad,shown", [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")])
+    def test_non_finite_values_are_named_plainly(self, bad, shown):
+        message = f"^non-finite value at flat index 1: {shown}$"
+        with pytest.raises(ValueError, match=message):
+            CenterField1D(PeriodicStagger1D(5), np.array([1.0, bad, 3.0]))
+        with pytest.raises(ValueError, match=message):
+            FieldND(np.array([[1.0, bad], [3.0, 4.0]]))
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52, reason="long double is float64")
+    def test_long_doubles_are_named_plainly(self):
+        values = np.array([0.5, np.longdouble("0.1")])
+        message = "^value at flat index 1 has no exact float64 value: 0.1$"
+        with pytest.raises(ValueError, match=message):
+            CenterField1D(PeriodicStagger1D(4), values)
+        with pytest.raises(ValueError, match=message):
+            FieldND(values)
 
     def test_rejects_complex(self):
         g = PeriodicStagger1D(5)
