@@ -20,9 +20,9 @@ first line that holds one.
 
 Both directions hold one block of strings at a time, never a string per
 value: the write formats ``_BLOCK`` values per write call.  The read takes
-the five header lines one ``readline`` each and the body in one read,
-counts the body's lines before it allocates the values, then parses it a
-window of about ``_WINDOW`` characters at a time.
+the five header lines one ``readline`` each and checks them before it reads
+the body, in one read; it counts the body's lines before it allocates the
+values, then parses it a window of about ``_WINDOW`` characters at a time.
 """
 
 from __future__ import annotations
@@ -68,17 +68,16 @@ def read_field(path: Union[str, os.PathLike]) -> FieldND:
     range).
     """
     # text mode ends a line at "\n", "\r\n" or a lone "\r" and hands each on as
-    # "\n"; unlike str.splitlines, at no "\v", "\f" or "\x1c".."\x1e"
+    # "\n"; unlike str.splitlines, at no "\v", "\f" or "\x1c".."\x1e".  The header
+    # is checked before the body is read, so a bad one is refused unread
     try:
         with open(path, "r", encoding="ascii") as fh:
-            header = [fh.readline() for _ in range(5)]
+            shape, staggered_axis, count = _header(path, [fh.readline() for _ in range(5)])
             raw = fh.read()
     except OSError as exc:
         raise FieldFormatError(f"cannot read field file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise FieldFormatError(f"field file {path} is not ASCII text") from exc
-
-    shape, staggered_axis, count = _header(path, header)
 
     # the body is raw[:stop], one value per line, the final newline opening
     # none; counted before anything is allocated for it

@@ -55,8 +55,11 @@ edge, and :class:`Family` builds its particular and null direction on first
 read.  Overflow of the edges and of neighbour sums of edges is read from the
 FP overflow flag (IEEE 754-2008 section 7), with no pass over the output; a
 non-finite e_1 or P shows in the last edge, checked once per line (P is
-finite exactly when P_M is, as every c is).  S, 2 S and the min-norm mean,
-whose inputs may hold inf, are checked per line.
+finite exactly when P_M is, as every c is).  A line's result depends on that
+line alone, whatever lines share its batch: a line whose S or min-norm sum is
+not finite is summed again alone on a power-of-two prescale
+(:func:`_pair_total`), and only a neighbour sum of edges that overflows takes
+the halves.
 
 The line kernel works along the last axis of an array of any rank: an N-D
 field runs it once over all of its lines, and the 1-D API is a batch of
@@ -152,15 +155,15 @@ def checked_floats(values) -> np.ndarray:
             if int(f) != v:
                 raise ValueError(f"value at flat index {k} has no exact float64 value: {v}")
         return arr
-    finite = np.isfinite(arr)
+    finite = np.isfinite(raw)
     if not finite.all():
         k = int(np.flatnonzero(~finite)[0])
-        raise ValueError(f"non-finite value at flat index {k}: {arr.flat[k]}")
+        raise ValueError(f"non-finite value at flat index {k}: {raw.flat[k]!s}")
     if np.finfo(raw.dtype).nmant > 52:   # a long double: compared at its own width
         rounded = np.flatnonzero(arr != raw)
         if rounded.size:
             k = int(rounded[0])
-            raise ValueError(f"value at flat index {k} has no exact float64 value: {raw.flat[k]}")
+            raise ValueError(f"value at flat index {k} has no exact float64 value: {raw.flat[k]!s}")
     return arr
 
 
@@ -328,32 +331,49 @@ def alternating_sums(c: np.ndarray):
     differences c_{2j} - c_{2j-1} (even M) or c_{2j+1} - c_{2j} (odd M), summed
     pairwise as np.sum sums them for a line alone.  On the row path the sum is
     row adds in that order (:func:`_pair_total`): a line of an N-D field gets
-    exactly the S it would get on its own, on either path.
+    exactly the S it would get on its own, on either path, and where the sum
+    overflows it is summed again alone on a prescale.
     """
     odd = c.shape[-1] % 2
-    s = _pair_total(np.subtract, c, odd)
+    s = _pair_total(np.subtract, c[..., odd:])
     return c[..., 0] + s if odd else s
 
 
-def _pair_total(op, x: np.ndarray, first: int = 0):
-    """sum_j op(x_{first+2j+1}, x_{first+2j}) of every line of ``x``, with the bits
-    np.sum gives the C-order terms of the line alone, float or Fraction.
+def _pair_total(op, x: np.ndarray, divisor: int = 1):
+    """sum_j op(x_{2j+1}, x_{2j}) / ``divisor`` of every line of ``x``: the sum as
+    :func:`_pair_sum` makes it, divided once.  A float line whose quotient is not
+    finite is summed again alone on x / 2^k, k = ceil(log2 n) for lines of n
+    values, where no sum of n/2 terms, each at most 2 max|x| / 2^k, overflows; it
+    is divided there and scaled back by 2^k, so that it overflows only where the
+    quotient does.  No other line is touched."""
+    total = _pair_sum(op, x)
+    if divisor != 1:   # an empty sum of Fractions is the int 0, which / makes a float
+        total = total / divisor
+    if x.dtype.kind == "f" and not np.all(np.isfinite(total)):
+        total, bad = np.asarray(total), ~np.isfinite(total)
+        scale = 2.0 ** (x.shape[-1] - 1).bit_length()
+        total[bad] = _pair_sum(op, x[bad] / scale) / divisor * scale
+    return total
+
+
+def _pair_sum(op, x: np.ndarray):
+    """sum_j op(x_{2j+1}, x_{2j}) of every line of ``x``, with the bits np.sum
+    gives the C-order terms of the line alone, float or Fraction.
     :func:`_pairwise_rows` adds them on the row path, made one row at a time, and
     off it split as numpy splits them into runs of at most ``_LEAF``, each made in
     one scratch of min(n, ``_LEAF``) terms per line and reduced there by
     np.add.reduce, as np.sum reduces: no temporary holds half a line.  Either way
     0, where numpy's accumulator starts, is added last: an all -0.0 line sums to
     +0.0, and a Fraction stays exact."""
-    n = (x.shape[-1] - first) // 2
+    n = x.shape[-1] // 2
     if n and _rowwise(x):
-        total = _pairwise_rows(lambda j: op(x[..., first + 2 * j + 1], x[..., first + 2 * j]), n)
+        total = _pairwise_rows(lambda j: op(x[..., 2 * j + 1], x[..., 2 * j]), n)
     else:
         scratch = np.empty(x.shape[:-1] + (min(n, _LEAF),), x.dtype)
 
         def run(lo, k):   # terms lo .. lo + k - 1, summed as np.sum sums them
-            a = first + 2 * lo
             out = scratch[..., :k]
-            op(x[..., a + 1:a + 2 * k:2], x[..., a:a + 2 * k - 1:2], out=out)
+            op(x[..., 2 * lo + 1:2 * (lo + k):2], x[..., 2 * lo:2 * (lo + k):2], out=out)
             return np.add.reduce(out, axis=-1)
         total = _pairwise_rows(None, n, run)
     total += 0
@@ -433,10 +453,8 @@ def _first_edges(partial: np.ndarray, choice: str, *args):
 
     * "t", t: the member p + t (+1, -1, ...) of the particular p, e_1 = t;
     * "min-norm": the member orthogonal to (+1, -1, ...), e_1 = 2 mean(P), the
-      pair sums P_{2j-1} + P_{2j} summed and doubled before the one division.
-      Where that overflows, it is taken again on P * 2^-ceil(log2 M): there the
-      sum cannot overflow (see average_lines), and its double only where the
-      mean does;
+      pair sums P_{2j-1} + P_{2j} summed and divided once by M / 2, each line
+      alone (:func:`_pair_total`), so that e_1 overflows only where it does;
     * "pin", k, v: the member with e_k = v, e_1 = 2 P_k + (-1)^(k-1) v, taken as
       2 (P_k + (-1)^(k-1) v / 2) where halving v is exact, so that 2 P_k
       cannot overflow on its own; ValueError unless k is an int in 1..M and v a
@@ -449,11 +467,7 @@ def _first_edges(partial: np.ndarray, choice: str, *args):
     m = partial.shape[-1]
     if choice == "min-norm":
         with np.errstate(over="ignore", invalid="ignore"):  # the retry is finite if P is
-            mean = 2 * _pair_total(np.add, partial) / m
-            if partial.dtype.kind == "f" and not np.all(np.isfinite(mean)):
-                scale = 2.0 ** (m - 1).bit_length()
-                mean = 2 * _pair_total(np.add, partial / scale) / m * scale
-        return mean
+            return _pair_total(np.add, partial, m // 2)
     k = checked_int(args[0], "pin index")
     if not 1 <= k <= m:
         raise ValueError(f"pin index must be in 1..{m}, got {k}")
@@ -484,7 +498,8 @@ def _finite_number(value, exact: bool, name: str):
                 return out
         except (ValueError, OverflowError):
             pass
-    raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    shown = value if isinstance(value, np.generic) else repr(value)   # nan, not np.float64(nan)
+    raise ValueError(f"{name} must be a finite real number, got {shown!s}")
 
 
 #: The row path (one row op per position across all lines) takes at least
@@ -507,8 +522,11 @@ def solve_lines(c: np.ndarray, tolerance: float = DEFAULT_TOLERANCE):
     e_i + e_{i+1} = 2 c_i, and for even M the residual 2 S and the test
     |2 S| <= (tolerance + 2 M u) max|c|, u = 2^-53: within one rounding per center
     (S == 0 for Fractions); else None, None.  :func:`complete_lines` checks tolerance.
-    A float line whose 2 S overflows is decided at 2^-k, k = ceil(log2 M), and
-    its residual is 2^k 2 S', +-inf where that does not fit either.
+    S is summed as :func:`_pair_total` sums it, again alone at 2^-k, k =
+    ceil(log2 M), where the sum overflows, so 2 S is +-inf only where it does not
+    fit.  A float line whose 2 S overflows is decided at 2^-k, where S fits: there
+    max|c| >= 1, so scaling both sides is exact, even where S, and with a
+    tolerance over 2 the bound, are beyond float64.
 
     P is a new buffer.  On the row path (:func:`_rowwise`) it is laid out
     position-outermost and summed with one row add per position, and S is row
@@ -542,13 +560,11 @@ def solve_lines(c: np.ndarray, tolerance: float = DEFAULT_TOLERANCE):
         allowance = 0 if c.dtype == object else tolerance + 2 * m * 2.0**-53
         consistent = np.abs(residual) <= allowance * max_abs
         if c.dtype != object and not np.all(np.isfinite(residual)):
-            # decide only those lines at 2^-k, where S fits (see _first_edges): others may be tiny
-            residual, consistent = np.array(residual), np.array(consistent)
-            bad = ~np.isfinite(residual)
+            # there max|c| >= 1, and |S| <= allowance max|c| / 2 is decided exactly at
+            # 2^-k, where S fits even if it overflows (with a tolerance over 2, so may the bound)
             scale = 2.0 ** (m - 1).bit_length()
-            s_scaled = alternating_sums(c[bad] / scale)
-            residual[bad] = 2 * scale * s_scaled
-            consistent[bad] = np.abs(s_scaled) <= allowance * (max_abs[bad] / (2 * scale))
+            scaled = np.abs(alternating_sums(c / scale)) <= allowance * (max_abs / (2 * scale))
+            consistent = np.where(np.isfinite(residual), consistent, scaled)
     return partial, s, residual, consistent
 
 
@@ -630,17 +646,17 @@ def average_lines(e: np.ndarray) -> np.ndarray:
     """Centers c_i = (e_i + e_{i+1}) / 2 of every line, with e_{M+1} = e_1.
 
     The sums go straight into the output (no rolled copy of e, no sign array)
-    and are halved in place.  Where a sum overflows float64 (read from the FP
-    flag: edges are finite), the halves are added instead: the mean of finite
-    values is always finite.
+    and are halved in place.  Only where a sum overflows float64 (read from the
+    FP flag, so no pass is made where none does: edges are finite) are the
+    halves added instead, e_i / 2 + e_{i+1} / 2: there both are at least 2^970
+    in magnitude, so halving is exact and the mean, always finite, is rounded
+    once.  Each center depends on its two edges alone.
     """
-    try:
-        with np.errstate(over="raise"):
-            c = _neighbour_sums(e)
-    except FloatingPointError:
-        return _neighbour_sums(e / 2)
-    c /= 2
-    return c
+    overflowed = []
+    with np.errstate(over="call", call=lambda *_: overflowed.append(True)):
+        c = _neighbour_sums(e)
+    c /= 2   # an overflowed sum is inf, and only it: edges are finite
+    return np.where(np.isinf(c), _neighbour_sums(e / 2), c) if overflowed else c
 
 
 # -- the 1-D API: a batch of one ---------------------------------------------
@@ -668,7 +684,9 @@ def alternating_residual(centers: CenterField1D):
 
     For odd M this equals e_1 of the unique solution; for even M the system
     is consistent exactly when S vanishes (equivalently, when c_M equals the
-    alternating sum of the other centers).  ValueError if it overflows float64.
+    alternating sum of the other centers).  ValueError only if S itself is
+    beyond float64: where differences or partial sums overflow but S fits, it is
+    summed again on a prescale (see :func:`_pair_total`).
     """
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         s = alternating_sums(centers.values)

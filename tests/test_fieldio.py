@@ -223,6 +223,17 @@ class TestMemoryBudget:
         # one string per line
         assert peak / path.stat().st_size < 2.5
 
+    def test_a_bad_header_is_refused_before_the_body_is_read(self, tmp_path):
+        path = tmp_path / "f.txt"
+        write_field(path, FieldND(np.random.default_rng(2).normal(size=self.N)))
+        text = path.read_text()
+        path.write_text("wrong 1" + text[text.index("\n"):])
+        with pytest.raises(FieldFormatError, match="has bad magic line 'wrong 1'"):
+            read_field(path)
+        peak = self.traced_peak(lambda: pytest.raises(FieldFormatError, read_field, path))
+        # the reader's buffers only; 2.0 with the body read and decoded first
+        assert peak / path.stat().st_size < 0.05
+
 
 def write_lines(tmp_path, lines):
     path = tmp_path / "bad.txt"
@@ -410,6 +421,19 @@ class TestReadErrors:
         with pytest.raises(FieldFormatError) as info:
             read_field(p)
         assert str(info.value) == f"field file {p}: non-finite value at flat index 1: {token}"
+
+    @pytest.mark.parametrize("values_before, message", [
+        (10, " is not ASCII text"),   # decoded with the header lines, in the first read
+        (10**5, " has bad magic line 'wrong 1'; expected 'staggrid-field 1'"),
+    ])
+    def test_a_bad_header_is_named_before_a_non_ascii_body(self, tmp_path, values_before,
+                                                           message):
+        p = tmp_path / "bad.txt"
+        p.write_bytes(b"wrong 1\nndim 1\nshape 2\nstaggered-axis none\ncount 2\n"
+                      + b"1.0\n" * values_before + "\u00e9\n".encode())
+        with pytest.raises(FieldFormatError) as info:
+            read_field(p)
+        assert str(info.value) == f"field file {p}{message}"
 
     def test_bad_staggered_axis(self, tmp_path):
         p = write_lines(tmp_path, ["staggrid-field 1", "ndim 1", "shape 2",

@@ -29,6 +29,7 @@ from staggrid import (
     complete_pinned,
     edges_from_centers,
     solvability_report,
+    to_centers_along,
     to_edges_along,
 )
 
@@ -112,6 +113,18 @@ class TestFields:
         with pytest.raises(ValueError, match=message):
             FieldND(np.array([[1.0, bad], [3.0, 4.0]]))
 
+    @pytest.mark.parametrize("call, shown", [
+        (lambda c: complete_pinned(c, 1, np.float64("nan")), "pin value ... got nan"),
+        (lambda c: edges_from_centers(c).member(np.float32("inf")), "t ... got inf"),
+        (lambda c: edges_from_centers(c, np.float64("-inf")), "tolerance ... got -inf"),
+        (lambda c: edges_from_centers(c).member(np.longdouble("1e400")), "t ... got 1e+400"),
+    ])
+    def test_numpy_scalars_are_named_plainly(self, call, shown):
+        c = CenterField1D(PeriodicStagger1D(4), [0.0, 0.0])
+        with pytest.raises(ValueError) as info:
+            call(c)
+        assert str(info.value) == shown.replace("...", "must be a finite real number,")
+
     @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52, reason="long double is float64")
     def test_long_doubles_are_named_plainly(self):
         values = np.array([0.5, np.longdouble("0.1")])
@@ -120,6 +133,16 @@ class TestFields:
             CenterField1D(PeriodicStagger1D(4), values)
         with pytest.raises(ValueError, match=message):
             FieldND(values)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52, reason="long double is float64")
+    def test_long_doubles_beyond_float64_are_not_called_non_finite(self):
+        values = np.array([0.5, np.longdouble(1e300) * np.longdouble(1e100)])
+        message = "value at flat index 1 has no exact float64 value: 1.0000000000000000684e+400"
+        with pytest.raises(ValueError) as info:
+            FieldND(values)
+        assert str(info.value) == message
+        with pytest.raises(ValueError, match="^non-finite value at flat index 1: inf$"):
+            FieldND(np.array([0.5, np.longdouble("inf")]))
 
     def test_rejects_complex(self):
         g = PeriodicStagger1D(5)
@@ -287,6 +310,12 @@ class TestAlternatingResidual:
             warnings.simplefilter("error")   # no numpy warning on the way
             with pytest.raises(ValueError, match="alternating sum overflow float64"):
                 alternating_residual(c)
+
+    def test_differences_that_overflow_where_the_sum_fits(self):
+        # c_2 - c_1 and c_4 - c_3 overflow to +inf and -inf, yet S = 0 exactly
+        big = float(np.finfo(np.float64).max)
+        c = CenterField1D(PeriodicStagger1D(6), [-big, big, big, -big])
+        assert alternating_residual(c) == 0.0
 
 
 class TestOddSolve:
@@ -769,6 +798,55 @@ class TestOverflowFromTheFlag:
         assert kernel.average_lines(e).tobytes() == want.tobytes()
 
 
+class TestEachLineAlone:
+    """A line's result depends on that line alone: where a sum of another line
+    in the batch overflows, this one is not rescaled with it."""
+
+    def test_min_norm_of_a_tiny_line_stacked_under_a_huge_one(self):
+        # the mean of the huge line's P overflows; the tiny line's subnormal P
+        # lost a bit at every edge when the whole batch was summed at 2^-3
+        rng = np.random.default_rng(5)
+        tiny = kernel.average_lines(rng.standard_normal(8) * 1e-308)
+        stacked = np.stack([np.full(8, 1.7e308), tiny])
+        alone = kernel.complete_lines(tiny, "min-norm")[0]
+        assert kernel.complete_lines(stacked, "min-norm")[0][1].tobytes() == alone.tobytes()
+        assert kernel.complete_lines(stacked, "min-norm")[0][0].tolist() == [1.7e308] * 8
+
+    def test_averages_of_a_subnormal_line_beside_an_overflowing_one(self):
+        # 1.7e308 + 1.7e308 overflows; d / 2 rounds to 0, so halving the whole
+        # batch made the second line d (1, 1, 1, 1)
+        d = 5e-324
+        e = np.array([[1.7e308, 1.7e308, 1.0, 1.0], [d, 2 * d, d, 2 * d]])
+        centers = to_centers_along(FieldND(e, staggered_axis=1), 1)[0].values
+        assert centers[1].tolist() == [2 * d] * 4
+        assert centers[1].tobytes() == kernel.average_lines(e[1]).tobytes()
+        assert centers[0].tolist() == [1.7e308, 0.85e308 + 0.5, 1.0, 0.85e308 + 0.5]
+
+    def test_odd_line_whose_pairwise_sum_overflows_where_the_edges_fit(self):
+        # one of numpy's eight pairwise accumulators adds 0.9e308 twice; the
+        # edges, and S = e_1, fit
+        e = np.zeros(33)
+        e[[1, 17]], e[[3, 19]] = -0.9e308, 0.9e308
+        out = edges_from_centers(centers_from_edges(EdgeField1D(PeriodicStagger1D(35), e)))
+        assert out.edges.values.tolist() == e.tolist()
+
+    @pytest.mark.parametrize("c, consistent", [
+        ([-0.9e308, 0.9e308] * 2, False),          # |S| = 3.6e308 > 4 max|c| / 2
+        ([-0.9e308, 0.9e308, 0.0, 0.0], True),     # |S| = 1.8e308 <= 4 max|c| / 2
+    ])
+    def test_sum_and_bound_both_beyond_float64(self, c, consistent):
+        # a rescued S of inf cannot be told from a bound of inf: the line is
+        # decided at 2^-2, where both fit
+        _, s, residual, ok = kernel.solve_lines(np.array(c), 4.0)
+        assert s == np.inf and residual == np.inf and bool(ok) is consistent
+        centers = CenterField1D(PeriodicStagger1D(6), c)
+        if consistent:   # but P_3 = c_1 - c_2 overflows: no member fits
+            with pytest.raises(ValueError, match="^edge values overflow float64"):
+                edges_from_centers(centers, 4.0)
+        else:
+            assert edges_from_centers(centers, 4.0).residual == np.inf
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 9])
 def test_exact_outputs_hold_only_fractions(n):
     grid = PeriodicStagger1D(n)
@@ -955,6 +1033,70 @@ def test_one_number_rule_for_scalars_and_arrays(x):
         assert int(results[0]) == x if isinstance(x, (int, np.integer)) else results[0] == x
 
 
+@st.composite
+def stacked_lines(draw):
+    """A batch of lines of one length, each at its own scale (subnormal, unit or
+    near the float64 limit, where sums overflow), some the averages of edges
+    (consistent up to rounding); a few lines, or repeated past
+    ``_ROWWISE_MIN_LINES`` so that short lines take the row path."""
+    m = draw(st.integers(1, 12))
+    scales = st.sampled_from([2.0**-1060, 2.0**-1030, 1.0, 1e300, 8.9e307,
+                              float(np.finfo(np.float64).max)])
+    lines = []
+    for _ in range(draw(st.integers(2, 4))):
+        line = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m)))
+        line *= draw(scales)
+        lines.append(kernel.average_lines(line) if draw(st.booleans()) else line)
+    batch = np.stack(lines)
+    if draw(st.booleans()):
+        batch = np.tile(batch, (-(-kernel._ROWWISE_MIN_LINES // len(lines)), 1))
+    return batch
+
+
+def raised_or_returned(call):
+    """("ok", what ``call`` returns), or the type of what it raised and the error."""
+    try:
+        return "ok", call()
+    except ValueError as exc:
+        return type(exc), exc
+
+
+@given(stacked_lines(), st.sampled_from([1e-10, 4.0]))
+@settings(max_examples=100, deadline=None)
+def test_each_line_gets_its_bits_alone(batch, tolerance):
+    """Every line of a batch gets the bits it gets alone from solve_lines,
+    average_lines and complete_lines with each strategy; where the batch raises,
+    it is the error of its first failing line alone (its index in line_coords)."""
+    m = batch.shape[-1]
+    assert kernel._rowwise(batch) == (len(batch) >= kernel._ROWWISE_MIN_LINES)
+    solved = kernel.solve_lines(batch, tolerance)
+    averaged = kernel.average_lines(batch)
+    for i, line in enumerate(batch):
+        alone = kernel.solve_lines(line, tolerance)
+        assert [bits(x) for x in alone] == [None if x is None else bits(x[i]) for x in solved]
+        assert bits(averaged[i]) == bits(kernel.average_lines(line))
+    strategies = [("unique",)] if m % 2 else [("min-norm",), ("pin", 1, 0.0), ("pin", m, -2.5)]
+    for args in strategies:
+        def complete(c):
+            return kernel.complete_lines(c, args[0], tolerance, *args[1:])
+        got = raised_or_returned(lambda: complete(batch))
+        alone = [raised_or_returned(lambda: complete(line)) for line in batch]
+        inconsistent = [i for i, (kind, _) in enumerate(alone) if kind is InconsistentDataError]
+        failed = [i for i, (kind, _) in enumerate(alone) if kind != "ok"]
+        if inconsistent:
+            i, exc = inconsistent[0], alone[inconsistent[0]][1]
+            assert got[0] is InconsistentDataError and got[1].line_coords == (i,)
+            assert str(got[1]) == str(exc).replace("line (0,)", f"line ({i},)")
+            assert bits(got[1].residual) == bits(exc.residual)
+        elif failed:
+            assert (got[0], str(got[1])) == (alone[failed[0]][0], str(alone[failed[0]][1]))
+        else:
+            assert got[0] == "ok"
+            for i, (_, (edges, residual)) in enumerate(alone):
+                assert bits(got[1][0][i]) == bits(edges)
+                assert bits(None if residual is None else got[1][1][i]) == bits(residual)
+
+
 # -- the kernel against its checkerboard formulas ------------------------------
 # The kernel applies every sign by negating alternate slots in place.  These
 # are the formulas it replaced, with explicit multiplies by the checkerboard;
@@ -975,10 +1117,27 @@ def reference_partial(c):
     return partial
 
 
+def reference_pair_total(x):
+    """np.sum of the differences x_{2j+1} - x_{2j} of every line; a float line whose
+    sum is not finite is summed again on its own at x / 2^ceil(log2 n), n values a
+    line, where it fits, and scaled back: maybe +-inf."""
+    def total(y):
+        return np.sum(np.subtract(y[..., 1::2], y[..., 0::2], order="C"), axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = total(x)
+        if x.dtype != object and not np.all(np.isfinite(out)):
+            out = np.array(out)
+            scale = 2.0 ** math.ceil(math.log2(x.shape[-1]))
+            for i in np.ndindex(out.shape):
+                if not np.isfinite(out[i]):
+                    out[i] = total(x[i] / scale) * scale
+    return out
+
+
 def reference_alternating_sums(c):
     if c.shape[-1] % 2 == 0:
-        return np.sum(np.subtract(c[..., 1::2], c[..., 0::2], order="C"), axis=-1)
-    return c[..., 0] + np.sum(np.subtract(c[..., 2::2], c[..., 1::2], order="C"), axis=-1)
+        return reference_pair_total(c)
+    return c[..., 0] + reference_pair_total(c[..., 1:])
 
 
 def reference_solve(c, tolerance):
@@ -995,15 +1154,19 @@ def reference_solve(c, tolerance):
         consistent = np.abs(residual) <= allowance * np.max(np.abs(c), axis=-1)
         if np.all(np.isfinite(residual)):
             return partial, s, residual, consistent
-        # a line whose 2 S overflows is decided on its own at 2^-ceil(log2 M),
-        # where S fits, and reports 2 S at that scale scaled back: maybe +-inf
-        residual, consistent = np.array(residual), np.array(consistent)
+        # where 2 S overflows, max|c| >= 1 and the test is taken halved, exactly; where
+        # S overflows too, on the line alone at 2^-ceil(log2 M), where S fits
+        consistent = np.array(consistent)
         scale = 2.0 ** math.ceil(math.log2(c.shape[-1]))
-        for i in np.ndindex(residual.shape):
+        for i in np.ndindex(consistent.shape):
             if not np.isfinite(residual[i]):
-                s_scaled = reference_alternating_sums(c[i] / scale)
-                residual[i] = s_scaled * 2 * scale
-                consistent[i] = abs(s_scaled) <= allowance * (np.max(np.abs(c[i])) / (2 * scale))
+                half_bound = allowance * (np.max(np.abs(c[i])) / 2)
+                if np.isfinite(s[i]):
+                    consistent[i] = abs(s[i]) <= half_bound
+                else:
+                    s_scaled = reference_alternating_sums(c[i] / scale)
+                    bound = allowance * (np.max(np.abs(c[i])) / (2 * scale))
+                    consistent[i] = abs(s_scaled) <= bound
         return partial, s, residual, consistent
 
 
@@ -1020,12 +1183,13 @@ def reference_telescope(first, partial):
 
 
 def reference_average(e):
+    """(e_i + e_{i+1}) / 2, or e_i / 2 + e_{i+1} / 2 where the sum overflows."""
     c = np.roll(e, -1, axis=-1)
     with np.errstate(over="ignore"):
         c += e
     c /= 2
-    if c.dtype.kind == "f" and not np.all(np.isfinite(c)):
-        c = np.roll(e, -1, axis=-1) / 2 + e / 2
+    if c.dtype.kind == "f":
+        c = np.where(np.isfinite(c), c, np.roll(e, -1, axis=-1) / 2 + e / 2)
     return c
 
 
@@ -1070,7 +1234,7 @@ def kernel_lines(draw):
     return np.moveaxis(values, axis, -1), bound
 
 
-@given(kernel_lines(), st.sampled_from([0.0, 1e-10, 1.0]), st.data())
+@given(kernel_lines(), st.sampled_from([0.0, 1e-10, 1.0, 4.0]), st.data())
 @settings(max_examples=300, deadline=None)
 def test_kernel_bits_match_the_checkerboard_formulas(lines, tolerance, data):
     """P and S from solve_lines, _telescope, Family.member and average_lines give
