@@ -68,16 +68,18 @@ def read_field(path: Union[str, os.PathLike]) -> FieldND:
     range).
     """
     # text mode ends a line at "\n", "\r\n" or a lone "\r" and hands each on as
-    # "\n"; unlike str.splitlines, at no "\v", "\f" or "\x1c".."\x1e".  The header
-    # is checked before the body is read, so a bad one is refused unread
+    # "\n"; unlike str.splitlines, at no "\v", "\f" or "\x1c".."\x1e".  A byte
+    # beyond ASCII decodes to a lone surrogate, found where it is read (isascii is
+    # O(1) on ASCII text): the header is checked before the body is read, so a bad
+    # one is refused unread, wherever the body holds such a byte
     try:
-        with open(path, "r", encoding="ascii") as fh:
+        with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
             shape, staggered_axis, count = _header(path, [fh.readline() for _ in range(5)])
             raw = fh.read()
     except OSError as exc:
         raise FieldFormatError(f"cannot read field file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise FieldFormatError(f"field file {path} is not ASCII text") from exc
+    if not raw.isascii():
+        raise FieldFormatError(f"field file {path} is not ASCII text")
 
     # the body is raw[:stop], one value per line, the final newline opening
     # none; counted before anything is allocated for it
@@ -126,10 +128,12 @@ def _is_value(token: str) -> bool:
 
 def _header(path, lines):
     """``(shape, staggered_axis, count)`` from the five header lines as readline
-    returned them, else FieldFormatError on the first fault, checked in the order
-    read.  A header line splits at single spaces, its only separator (str.split()
-    would also split at other whitespace), and a header integer is plain ASCII
-    digits, unlike int()."""
+    returned them, else FieldFormatError on the first fault: text that is not
+    ASCII, then each line in the order read.  A header line splits at single
+    spaces, its only separator (str.split() would also split at other
+    whitespace), and a header integer is plain ASCII digits, unlike int()."""
+    if not "".join(lines).isascii():
+        raise FieldFormatError(f"field file {path} is not ASCII text")
     if not lines[4]:
         raise FieldFormatError(f"field file {path} is truncated: header incomplete")
     lines = [line.rstrip("\n") for line in lines]

@@ -519,13 +519,14 @@ def _rowwise(c: np.ndarray) -> bool:
 def solve_lines(c: np.ndarray, tolerance: float = DEFAULT_TOLERANCE):
     """``(partial, s, residual, consistent)`` of every line of ``c``: the partial
     sums P (P_1 = 0) and S that :func:`_telescope` takes to solve
-    e_i + e_{i+1} = 2 c_i, and for even M the residual 2 S and the test
+    e_i + e_{i+1} = 2 c_i, and for even M the residual 2 S and the verdict
     |2 S| <= (tolerance + 2 M u) max|c|, u = 2^-53: within one rounding per center
-    (S == 0 for Fractions); else None, None.  :func:`complete_lines` checks tolerance.
+    (S == 0 for Fractions); else None, None.  ValueError first unless
+    ``tolerance`` is a finite real number (:func:`_finite_number`) >= 0.
     S is summed as :func:`_pair_total` sums it, again alone at 2^-k, k =
     ceil(log2 M), where the sum overflows, so 2 S is +-inf only where it does not
-    fit.  A float line whose 2 S overflows is decided at 2^-k, where S fits: there
-    max|c| >= 1, so scaling both sides is exact, even where S, and with a
+    fit.  A float line whose 2 S overflows is decided alone at 2^-k, where S fits:
+    there max|c| >= 1, so scaling both sides is exact, even where S, and with a
     tolerance over 2 the bound, are beyond float64.
 
     P is a new buffer.  On the row path (:func:`_rowwise`) it is laid out
@@ -533,6 +534,9 @@ def solve_lines(c: np.ndarray, tolerance: float = DEFAULT_TOLERANCE):
     adds in numpy's pairwise order; otherwise ``np.cumsum`` runs along each line,
     and S is summed in runs of at most ``_LEAF`` terms.  The bits agree.
     """
+    tolerance = _finite_number(tolerance, False, "tolerance")
+    if tolerance < 0.0:
+        raise ValueError(f"tolerance must be >= 0, got {tolerance!r}")
     m = c.shape[-1]
     rowwise = _rowwise(c)
     if rowwise:
@@ -562,9 +566,10 @@ def solve_lines(c: np.ndarray, tolerance: float = DEFAULT_TOLERANCE):
         if c.dtype != object and not np.all(np.isfinite(residual)):
             # there max|c| >= 1, and |S| <= allowance max|c| / 2 is decided exactly at
             # 2^-k, where S fits even if it overflows (with a tolerance over 2, so may the bound)
+            consistent, bad = np.array(consistent), ~np.isfinite(residual)
             scale = 2.0 ** (m - 1).bit_length()
-            scaled = np.abs(alternating_sums(c / scale)) <= allowance * (max_abs / (2 * scale))
-            consistent = np.where(np.isfinite(residual), consistent, scaled)
+            consistent[bad] = (np.abs(alternating_sums(c[bad] / scale))
+                               <= allowance * (np.asarray(max_abs)[bad] / (2 * scale)))
     return partial, s, residual, consistent
 
 
@@ -581,9 +586,10 @@ def complete_lines(c: np.ndarray, strategy: str, tolerance: float = DEFAULT_TOLE
     per line, then :func:`_telescope` runs over P: "unique" (odd N) e_1 = S,
     "min-norm" and "pin" (even N, and only "pin" takes pin_index = k and
     pin_value = v) as :func:`_first_edges` picks them; else ParityError.  The
-    first line in C order failing the even-N consistency test raises
-    InconsistentDataError (see :func:`_consistent_lines`).  Edges that overflow
-    float64, and only they, raise ValueError.
+    first line in C order that :func:`solve_lines` finds inconsistent raises
+    InconsistentDataError, with its residual and its index in ``line_coords`` (a
+    1-D ``c`` is line (0,)).  Edges that overflow float64, and only they, raise
+    ValueError.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -599,33 +605,19 @@ def complete_lines(c: np.ndarray, strategy: str, tolerance: float = DEFAULT_TOLE
     elif pin_index is not None or pin_value is not None:
         raise ValueError(f"pin_index/pin_value only apply to strategy 'pin', not {strategy!r}")
 
-    partial, first, residual = _consistent_lines(c, tolerance)
+    partial, first, residual, consistent = solve_lines(c, tolerance)
     if not odd:
+        if not np.all(consistent):
+            line = int(np.flatnonzero(np.logical_not(consistent))[0])
+            coords = tuple(int(x) for x in np.unravel_index(line, np.shape(residual) or (1,)))
+            bad = np.ravel(residual).tolist()[line]   # a float, or a Fraction
+            # the tolerance as the float solve_lines took: before 3.12 a Fraction has no "g"
+            raise InconsistentDataError(
+                f"line {coords} admits no edge solution "
+                f"(residual {bad}, tolerance {float(tolerance):g})",
+                residual=bad, line_coords=coords)
         first = _first_edges(partial, strategy, pin_index, pin_value)
     return _telescope(first, partial), residual
-
-
-def _consistent_lines(c: np.ndarray, tolerance):
-    """``(partial, s, residual)`` of :func:`solve_lines` on every line of ``c``, the
-    only caller, once ``tolerance`` is checked, but for S on even lines: None, as
-    they are done with it once tested.  The first line in C order failing the
-    even-N consistency test raises InconsistentDataError with its index in
-    ``line_coords`` (a 1-D ``c`` is line (0,))."""
-    tolerance = _finite_number(tolerance, False, "tolerance")
-    if tolerance < 0.0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance!r}")
-    partial, s, residual, consistent = solve_lines(c, tolerance)
-    if residual is None:
-        return partial, s, None
-    if not np.all(consistent):
-        first = int(np.flatnonzero(np.logical_not(consistent))[0])
-        coords = tuple(int(x) for x in np.unravel_index(first, np.shape(residual) or (1,)))
-        bad = np.ravel(residual).tolist()[first]   # a float, or a Fraction
-        raise InconsistentDataError(
-            f"line {coords} admits no edge solution "
-            f"(residual {bad}, tolerance {tolerance:g})",
-            residual=bad, line_coords=coords)
-    return partial, None, residual
 
 
 def _neighbour_sums(x: np.ndarray) -> np.ndarray:
@@ -703,7 +695,8 @@ def edges_from_centers(centers: CenterField1D,
     when the line is consistent (|2 S| <= (tolerance + 2 M u) max|c|, u = 2^-53:
     within one rounding per center; S == 0 in exact mode), a :class:`Family`
     holding the partial sums P, with no edge built yet; else
-    :class:`Inconsistent` with the gate's residual (+-inf if it overflows).
+    :class:`Inconsistent` with the residual 2 S of :func:`solve_lines` (+-inf if it
+    overflows), as :func:`complete_lines` raises it.
     Raises ValueError when the edges overflow float64, on even N only when P
     does, so that no member fits.
     """
@@ -711,10 +704,9 @@ def edges_from_centers(centers: CenterField1D,
     if grid.is_odd:
         edges, _ = complete_lines(centers.values, "unique", tolerance)
         return Unique(_kernel_field(EdgeField1D, grid=grid, values=edges))
-    try:
-        partial = _consistent_lines(centers.values, tolerance)[0]
-    except InconsistentDataError as exc:
-        return Inconsistent(exc.residual)
+    partial, _, residual, consistent = solve_lines(centers.values, tolerance)
+    if not consistent:
+        return Inconsistent(residual if centers.exact else float(residual))
     if not centers.exact and not math.isfinite(partial[-1]):
         raise ValueError(_OVERFLOW.format("edge values"))
     return _kernel_field(Family, grid=grid, _partial=partial)

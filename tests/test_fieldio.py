@@ -423,7 +423,7 @@ class TestReadErrors:
         assert str(info.value) == f"field file {p}: non-finite value at flat index 1: {token}"
 
     @pytest.mark.parametrize("values_before, message", [
-        (10, " is not ASCII text"),   # decoded with the header lines, in the first read
+        (10, " has bad magic line 'wrong 1'; expected 'staggrid-field 1'"),   # in the first 8 KiB
         (10**5, " has bad magic line 'wrong 1'; expected 'staggrid-field 1'"),
     ])
     def test_a_bad_header_is_named_before_a_non_ascii_body(self, tmp_path, values_before,
@@ -434,6 +434,30 @@ class TestReadErrors:
         with pytest.raises(FieldFormatError) as info:
             read_field(p)
         assert str(info.value) == f"field file {p}{message}"
+
+    @pytest.mark.parametrize("header", [
+        b"staggrid-field 1\nndim 1\nshape 2\xe9\nstaggered-axis none\ncount 2\n",
+        b"wrong \xff1\nndim 1\nshape 2\nstaggered-axis none\ncount 2\n",
+        b"staggrid-field 1\nndim 1\xe9\n",
+    ], ids=["in-a-good-header", "before-a-bad-magic-line", "before-a-truncation"])
+    def test_a_non_ascii_header_line_is_named_as_such(self, tmp_path, header):
+        p = tmp_path / "bad.txt"
+        p.write_bytes(header + b"1.0\n2.0\n")
+        with pytest.raises(FieldFormatError) as info:
+            read_field(p)
+        assert str(info.value) == f"field file {p} is not ASCII text"
+
+    @pytest.mark.parametrize("line", [6, 10**5])
+    def test_a_non_ascii_body_line_is_named_as_such_wherever_it_lies(self, tmp_path, line):
+        count = 10**5
+        body = [b"1.0\n"] * count
+        body[line - 6] = "1.\u00e9\n".encode()
+        p = tmp_path / "bad.txt"
+        p.write_bytes(b"staggrid-field 1\nndim 1\nshape %d\nstaggered-axis none\ncount %d\n"
+                      % (count, count) + b"".join(body))
+        with pytest.raises(FieldFormatError) as info:
+            read_field(p)
+        assert str(info.value) == f"field file {p} is not ASCII text"
 
     def test_bad_staggered_axis(self, tmp_path):
         p = write_lines(tmp_path, ["staggrid-field 1", "ndim 1", "shape 2",

@@ -416,6 +416,39 @@ class TestEvenSolve:
             with pytest.raises(ValueError, match="^tolerance must be a finite"):
                 complete_pinned(c, 1, 0.0, tolerance=tolerance)
 
+    @pytest.mark.parametrize("tolerance, message", [
+        (-1.0, "tolerance must be >= 0, got -1.0"),
+        (np.nan, "tolerance must be a finite real number, got nan"),
+        (-np.inf, "tolerance must be a finite real number, got -inf"),
+        (True, "tolerance must be a finite real number, got True"),
+        ("1e-3", "tolerance must be a finite real number, got '1e-3'"),
+    ])
+    @pytest.mark.parametrize("c", [np.ones(3), np.ones(4), np.array([Fraction(1)] * 4)])
+    def test_solve_lines_checks_its_tolerance(self, tolerance, message, c):
+        with pytest.raises(ValueError) as info:
+            kernel.solve_lines(c, tolerance)
+        assert str(info.value) == message
+
+    def test_a_fraction_tolerance_is_shown_as_the_float_it_is(self):
+        # format(Fraction(1, 4), "g") raises TypeError before Python 3.12
+        with pytest.raises(InconsistentDataError) as info:
+            kernel.complete_lines(np.array([1.0, 2.0]), "min-norm", Fraction(1, 4))
+        assert str(info.value) == "line (0,) admits no edge solution (residual 2.0, tolerance 0.25)"
+
+    @pytest.mark.parametrize("values, kind", [
+        ([1.0, 2.0, 3.0, 5.0], float),
+        ([Fraction(1), Fraction(2), Fraction(3), Fraction(5, 3)], Fraction),
+        ([1e308, -1e308] * 4, float),    # 2 S = -inf
+        ([-1e308, 1e308] * 4, float),    # 2 S = +inf
+    ])
+    def test_the_outcome_holds_the_residual_the_gate_raises(self, values, kind):
+        centers = CenterField1D(PeriodicStagger1D(len(values) + 2), values)
+        with pytest.raises(InconsistentDataError) as info:
+            kernel.complete_lines(centers.values, "min-norm")
+        raised, returned = info.value.residual, edges_from_centers(centers).residual
+        assert type(raised) is type(returned) is kind
+        assert repr(raised) == repr(returned)
+
 
 class TestLazyNullDirection:
     """Family builds its null direction when it is first read, not when solved."""
@@ -1218,9 +1251,20 @@ def kernel_lines(draw):
     """The lines of a 1-D to 3-D array along a drawn axis, as the kernel sees
     them through ``np.moveaxis``: floats up to a drawn bound (from the
     subnormals, where halving rounds, to the float64 limit, where sums
-    overflow), or averages of such floats, or the same as Fractions."""
+    overflow), or averages of such floats, or the same as Fractions; or lines of
+    3 to 6 values of alternating sign, each zero or from a quarter of the float64
+    limit to it, where S is beyond float64 and, at tolerance 4, so is the bound,
+    on lines either side of it."""
     shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=6))
     axis = draw(st.integers(0, len(shape) - 1))
+    if draw(st.integers(0, 2)) == 0:
+        limit = float(np.finfo(np.float64).max)
+        shape = shape[:axis] + (draw(st.integers(3, 6)),) + shape[axis + 1:]
+        magnitude = st.one_of(st.just(0.0), st.floats(0.25, 1.0).map(lambda x: x * limit))
+        values = draw(hnp.arrays(np.float64, shape, elements=magnitude, fill=st.nothing()))
+        lines = np.moveaxis(values, axis, -1)
+        np.negative(lines[..., 1::2], out=lines[..., 1::2])
+        return lines, limit
     bound = draw(st.sampled_from([2.0**-1022, 1.0, 1e10, 1e300, 8.9e307,
                                   float(np.finfo(np.float64).max)]))
     near_bound = st.floats(-1.0, 1.0).map(lambda x: x * bound)   # where sums overflow
@@ -1521,6 +1565,17 @@ class TestMemoryBudget:
         value per line: no C-order differences or pair sums (0.5 for M = 8)
         and no iterator buffer (0.56 for M = 7).  Measured: 1.586, 1.653, 1.651."""
         assert self.peak_of_many_lines(strategy) <= limit
+
+    def test_a_line_whose_residual_overflows_is_decided_alone(self):
+        """Where one line's 2 S overflows, that line alone is decided again at
+        2^-k: no scaled copy of the batch beside it, which added 1.0 to the
+        1.64 of 10^5 values in lines of 8."""
+        consistent = kernel.average_lines(np.random.default_rng(1).standard_normal((12500, 8)))
+        one_overflows = consistent.copy()
+        one_overflows[-1] = [1e308, -1e308] * 4
+        peaks = [self.peak_per_line_byte(lambda: kernel.solve_lines(c), c.size)
+                 for c in (consistent, one_overflows)]
+        assert peaks[1] <= peaks[0] + 0.05
 
     def peak_of_many_lines(self, strategy):
         field = self.odd_lines if strategy == "unique" else self.even_lines
