@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
 
-import numpy as np
-
 from .exact import MAX_ORACLE_UNKNOWNS, build_system, determinant_exact, row_echelon, solve_dense
 from .grid import (
     CenterField1D,
@@ -83,26 +81,6 @@ class AuditReport:
         return self.n_failures == 0
 
 
-def _generic_sample(grid: PeriodicStagger1D) -> CenterField1D:
-    """Integer centers c_i = i, exact."""
-    m = grid.n_unknowns
-    return CenterField1D(grid, np.array([Fraction(i) for i in range(1, m + 1)],
-                                        dtype=object))
-
-
-def _consistent_sample(grid: PeriodicStagger1D) -> CenterField1D:
-    """The generic sample with c_M forced to the alternating sum of the rest.
-
-    Only meaningful for even N, where it makes the residual exactly zero.
-    """
-    m = grid.n_unknowns
-    vals = [Fraction(i) for i in range(1, m + 1)]
-    vals[m - 1] = sum(
-        Fraction((-1) ** (m - 1 - i)) * vals[i - 1] for i in range(1, m)
-    )
-    return CenterField1D(grid, np.array(vals, dtype=object))
-
-
 def _reproduces_centers(edges, centers: CenterField1D) -> bool:
     back = centers_from_edges(edges)
     return all(a == b for a, b in zip(back.values, centers.values))
@@ -112,7 +90,8 @@ def _audit_one(n_edges: int) -> AuditRecord:
     report = solvability_report(n_edges)
     grid = PeriodicStagger1D(n_edges)
     m = grid.n_unknowns
-    sample = _generic_sample(grid)
+    vals = [Fraction(i) for i in range(1, m + 1)]   # the generic sample c_i = i, exact
+    sample = CenterField1D(grid, vals)
 
     system = build_system(sample)
     det = determinant_exact(system)
@@ -152,7 +131,10 @@ def _audit_one(n_edges: int) -> AuditRecord:
         checks["solve_inconsistent"] = incons_agree
         checks["bottom_rhs"] = ech.reduced_rhs[m - 1] == 2 * s
 
-        forced = _consistent_sample(grid)
+        # c_M forced to the alternating sum of the rest, written out here rather than
+        # taken from the kernel it checks: the residual is then exactly zero
+        forced = CenterField1D(grid, vals[:-1] + [
+            sum(Fraction((-1) ** (m - 1 - i)) * vals[i - 1] for i in range(1, m))])
         fast_f = edges_from_centers(forced)
         dense_f = solve_dense(build_system(forced))
         family_agree = (

@@ -8,9 +8,9 @@ computed the slow, obviously-correct way, for cross-checking in tests and
 in the ``audit`` command.
 
 Dense exact elimination is O(M^3) with coefficient growth, so system
-construction is capped at ``MAX_ORACLE_UNKNOWNS`` unknowns.  The cap is an
-argument with a default, not a hard limit, but the default is deliberate:
-the oracle exists to validate small cases, not to be a production solver.
+construction is capped at ``MAX_ORACLE_UNKNOWNS`` unknowns.  The cap is fixed,
+not an option: the oracle exists to validate small cases, not to be a
+production solver.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .grid import (
     _kernel_field,
 )
 
-#: Default ceiling on system size for the dense oracle.
+#: Ceiling on system size for the dense oracle.
 MAX_ORACLE_UNKNOWNS = 64
 
 _Matrix = Tuple[Tuple[int, ...], ...]
@@ -42,17 +42,15 @@ _FracRow = Tuple[Fraction, ...]
 def _cyclic_pattern(m: int) -> _Matrix:
     """The M x M coefficient pattern of e_i + e_{i+1} = 2 c_i with wrap.
 
-    Row i has ones in columns i and i+1; the last row wraps its second one
-    back to column 1.  M = 1 collapses both ones onto the same entry: the
-    single equation 2 e_1 = 2 c_1.
+    Row i adds a one in column i and one in column i+1; the last row wraps
+    its second one back to column 1.  For M = 1 that wrapped column is column
+    1 itself (e_2 is e_1), so the rule gives the single equation 2 e_1 = 2 c_1.
     """
-    if m == 1:
-        return ((2,),)
     rows = []
     for i in range(m):
         row = [0] * m
         row[i] = 1
-        row[(i + 1) % m] = 1
+        row[(i + 1) % m] += 1
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -100,13 +98,12 @@ class EchelonResult:
     pivot_columns: Tuple[int, ...]
 
 
-def build_system(centers: CenterField1D, *,
-                 max_unknowns: int = MAX_ORACLE_UNKNOWNS) -> DenseSystem:
+def build_system(centers: CenterField1D) -> DenseSystem:
     """Materialize the dense system A e = 2 c for a center field."""
     m = centers.grid.n_unknowns
-    if m > max_unknowns:
+    if m > MAX_ORACLE_UNKNOWNS:
         raise ValueError(
-            f"dense oracle capped at {max_unknowns} unknowns; got m={m}"
+            f"dense oracle capped at {MAX_ORACLE_UNKNOWNS} unknowns; got m={m}"
         )
     rhs = tuple(2 * Fraction(v) for v in centers.values)
     return DenseSystem(m, _cyclic_pattern(m), rhs)
@@ -116,8 +113,9 @@ def determinant_exact(system: DenseSystem) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination.
 
     For the cyclic pattern this is 1 - (-1)^M: 2 when M is odd, 0 when M is
-    even (and 2 for the M = 1 convention row).  The algorithm is general,
-    though; it does not assume that answer.
+    even; M = 1 is odd too, its single entry 2 following from the pattern's
+    rule (e_2 is e_1).  The algorithm is general, though; it does not assume
+    that answer.
     """
     m = system.m
     a = [list(row) for row in system.matrix]

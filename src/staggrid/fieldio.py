@@ -20,13 +20,15 @@ first line that holds one.
 
 Both directions hold one block of strings at a time, never a string per
 value: the write formats ``_BLOCK`` values per write call.  The read takes
-the five header lines one ``readline`` each and checks them before it reads
-the body, in one read; it counts the body's lines before it allocates the
-values, then parses it a window of about ``_WINDOW`` characters at a time.
+the five header lines one ``readline`` of at most ``_WINDOW`` characters
+each and checks them before it reads the body, in one read; it counts the
+body's lines before it allocates the values, then parses it a window of
+about ``_WINDOW`` characters at a time.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Union
 
@@ -41,7 +43,8 @@ _MAGIC = "staggrid-field 1"
 _NOT_IN_VALUES = "_ \t\v\f"
 #: Values formatted per block by write_field.
 _BLOCK = 8192
-#: Characters of the body split and parsed per window by read_field.
+#: Characters of the body split and parsed per window by read_field, and the
+#: most it reads of one header line.
 _WINDOW = 1 << 17
 
 
@@ -74,7 +77,7 @@ def read_field(path: Union[str, os.PathLike]) -> FieldND:
     # one is refused unread, wherever the body holds such a byte
     try:
         with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-            shape, staggered_axis, count = _header(path, [fh.readline() for _ in range(5)])
+            shape, staggered_axis, count = _header(path, [fh.readline(_WINDOW) for _ in range(5)])
             raw = fh.read()
     except OSError as exc:
         raise FieldFormatError(f"cannot read field file {path}: {exc}") from exc
@@ -129,11 +132,16 @@ def _is_value(token: str) -> bool:
 def _header(path, lines):
     """``(shape, staggered_axis, count)`` from the five header lines as readline
     returned them, else FieldFormatError on the first fault: text that is not
-    ASCII, then each line in the order read.  A header line splits at single
-    spaces, its only separator (str.split() would also split at other
-    whitespace), and a header integer is plain ASCII digits, unlike int()."""
+    ASCII, a line cut at the ``_WINDOW`` limit, then each line in the order
+    read.  A header line splits at single spaces, its only separator
+    (str.split() would also split at other whitespace), and a header integer
+    is plain ASCII digits, unlike int()."""
     if not "".join(lines).isascii():
         raise FieldFormatError(f"field file {path} is not ASCII text")
+    for k, line in enumerate(lines, 1):
+        if len(line) == _WINDOW and not line.endswith("\n"):
+            raise FieldFormatError(
+                f"field file {path}: header line {k} is longer than {_WINDOW} characters")
     if not lines[4]:
         raise FieldFormatError(f"field file {path} is truncated: header incomplete")
     lines = [line.rstrip("\n") for line in lines]
@@ -168,9 +176,7 @@ def _header(path, lines):
         if key == "ndim" and fields[key] < 1:
             raise FieldFormatError(f"field file {path}: ndim must be >= 1, got {fields[key]}")
     shape, count = fields["shape"], fields["count"]
-    expected = 1
-    for n in shape:
-        expected *= n
+    expected = math.prod(shape)
     if count != expected:
         raise FieldFormatError(
             f"field file {path}: count {count} does not match shape "

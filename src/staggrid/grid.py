@@ -310,8 +310,9 @@ def solvability_report(n_edges: int) -> SolvabilityReport:
 
     The determinant of the M x M system matrix is 2 for odd N (full rank)
     and 0 for even N (rank M - 1).  The degenerate sizes follow the same
-    rule: N=3 reduces to the single equation 2 e_1 = 2 c_1 (determinant 2 by
-    convention), N=4 gives the rank-1 matrix [[1,1],[1,1]].
+    rule: N=3 reduces to the single equation 2 e_1 = 2 c_1 (determinant 2,
+    since e_2 is e_1 there, so both ones of the row fall on one entry), N=4
+    gives the rank-1 matrix [[1,1],[1,1]].
     """
     grid = PeriodicStagger1D(n_edges)
     m = grid.n_unknowns
@@ -610,7 +611,7 @@ def complete_lines(c: np.ndarray, strategy: str, tolerance: float = DEFAULT_TOLE
         if not np.all(consistent):
             line = int(np.flatnonzero(np.logical_not(consistent))[0])
             coords = tuple(int(x) for x in np.unravel_index(line, np.shape(residual) or (1,)))
-            bad = np.ravel(residual).tolist()[line]   # a float, or a Fraction
+            bad = np.ravel(residual)[line:line + 1].tolist()[0]   # a float, or a Fraction
             # the tolerance as the float solve_lines took: before 3.12 a Fraction has no "g"
             raise InconsistentDataError(
                 f"line {coords} admits no edge solution "

@@ -181,6 +181,19 @@ class TestToEdges:
         assert proc.returncode == 3
         assert b"whitespace other than spaces" in proc.stderr
 
+    @pytest.mark.parametrize("head, message", [
+        (b"", b": header line 1 is longer than 131072 characters"),
+        (b"staggrid-field \xe9", b" is not ASCII text"),
+    ], ids=["digits", "non-ascii"])
+    def test_a_file_with_no_line_break_exit_3(self, tmp_path, head, message):
+        bad = tmp_path / "long.txt"
+        bad.write_bytes(head + b"7" * 30_000_000)
+        proc = run_cli("to-edges", "--input", str(bad), "--axis", "0",
+                       "--n-edges", "5", "--strategy", "unique",
+                       "--output", str(tmp_path / "o.txt"))
+        assert proc.returncode == 3
+        assert message + b"\n" in proc.stderr
+
     def test_missing_input_exit_3(self, tmp_path):
         proc = run_cli("to-edges", "--input", str(tmp_path / "nope.txt"),
                        "--axis", "0", "--n-edges", "5", "--strategy", "unique",

@@ -234,6 +234,20 @@ class TestMemoryBudget:
         # the reader's buffers only; 2.0 with the body read and decoded first
         assert peak / path.stat().st_size < 0.05
 
+    @pytest.mark.parametrize("head, message", [
+        (b"", ": header line 1 is longer than 131072 characters"),
+        (b"staggrid-field \xe9", " is not ASCII text"),
+    ], ids=["digits", "non-ascii"])
+    def test_a_file_with_no_line_break_is_refused_unread(self, tmp_path, head, message):
+        path = tmp_path / "f.txt"
+        path.write_bytes(head + b"7" * 30_000_000)
+        with pytest.raises(FieldFormatError) as info:
+            read_field(path)
+        assert str(info.value) == f"field file {path}{message}"
+        # the header lines, at most 2^17 characters each; 60 and 120 MB with
+        # each line read to its end
+        assert self.traced_peak(lambda: pytest.raises(FieldFormatError, read_field, path)) < 5e6
+
 
 def write_lines(tmp_path, lines):
     path = tmp_path / "bad.txt"
@@ -412,6 +426,18 @@ class TestReadErrors:
         p = write_lines(tmp_path, lines)
         with pytest.raises(FieldFormatError) as info:
             read_field(p)
+        assert str(info.value) == f"field file {p}{message}"
+
+    @pytest.mark.parametrize("length", [fieldio._WINDOW - 1, fieldio._WINDOW])
+    def test_a_header_line_is_read_up_to_the_window(self, tmp_path, length):
+        p = write_lines(tmp_path, ["x" * length, "ndim 1", "shape 1",
+                                   "staggered-axis none", "count 1", "1.0"])
+        with pytest.raises(FieldFormatError) as info:
+            read_field(p)
+        if length < fieldio._WINDOW:   # read whole, up to its newline
+            message = f" has bad magic line {'x' * length!r}; expected 'staggrid-field 1'"
+        else:
+            message = ": header line 1 is longer than 131072 characters"
         assert str(info.value) == f"field file {p}{message}"
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])

@@ -1577,6 +1577,25 @@ class TestMemoryBudget:
                  for c in (consistent, one_overflows)]
         assert peaks[1] <= peaks[0] + 0.05
 
+    def test_an_inconsistent_line_is_reported_alone(self):
+        """The line that complete_lines reports is read out of the residuals on
+        its own: no list of every line's residual beside them, which took 10^5
+        values in lines of 8 from 1.64 to 1.77."""
+        consistent = kernel.average_lines(np.random.default_rng(1).standard_normal((12500, 8)))
+        last_inconsistent = consistent.copy()
+        last_inconsistent[-1, 0] += 1.0
+
+        def report(c):
+            try:
+                return kernel.complete_lines(c, "min-norm")
+            except InconsistentDataError as exc:
+                assert exc.line_coords == (12499,) and isinstance(exc.residual, float)
+                return exc
+
+        peaks = [self.peak_per_line_byte(lambda: report(c), c.size)
+                 for c in (consistent, last_inconsistent)]
+        assert peaks[1] <= peaks[0] + 0.05
+
     def peak_of_many_lines(self, strategy):
         field = self.odd_lines if strategy == "unique" else self.even_lines
         pin = (3, 0.5) if strategy == "pin" else (None, None)
