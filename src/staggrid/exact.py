@@ -3,9 +3,10 @@
 Everything here works on explicit dense matrices over exact arithmetic
 (Python ints for the matrix, ``fractions.Fraction`` for right-hand sides),
 independent of the O(M) recurrence solver in :mod:`staggrid.grid`.  Its job
-is to certify that solver: determinants, ranks, echelon forms, and solves
-computed the slow, obviously-correct way, for cross-checking in tests and
-in the ``audit`` command.
+is to certify that solver the slow, obviously-correct way, for cross-checking
+in tests and in the ``audit`` command.  One forward elimination,
+:func:`row_echelon`, gives the determinant, the rank, the echelon form and,
+by back-substitution, the solve.
 
 Dense exact elimination is O(M^3) with coefficient growth, so system
 construction is capped at ``MAX_ORACLE_UNKNOWNS`` unknowns.  The cap is fixed,
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
@@ -88,14 +89,19 @@ class EchelonResult:
 
     ``reduced_matrix`` and ``reduced_rhs`` are the matrix and right-hand
     side after forward elimination (no pivot scaling, rows swapped only to
-    escape a zero pivot).  ``rank`` counts nonzero rows; ``pivot_columns``
-    lists the column of each pivot in row order.
+    escape a zero pivot).  ``pivot_columns`` lists the column of each pivot
+    in row order, and ``rank`` counts them.  ``determinant`` is the product
+    of the pivots, negated once per row swap, or 0 below full rank.
     """
 
     reduced_matrix: Tuple[_FracRow, ...]
     reduced_rhs: _FracRow
-    rank: int
     pivot_columns: Tuple[int, ...]
+    determinant: int
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivot_columns)
 
 
 def build_system(centers: CenterField1D) -> DenseSystem:
@@ -110,30 +116,14 @@ def build_system(centers: CenterField1D) -> DenseSystem:
 
 
 def determinant_exact(system: DenseSystem) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination.
+    """Exact determinant, as :func:`row_echelon` finds it.
 
     For the cyclic pattern this is 1 - (-1)^M: 2 when M is odd, 0 when M is
     even; M = 1 is odd too, its single entry 2 following from the pattern's
-    rule (e_2 is e_1).  The algorithm is general, though; it does not assume
-    that answer.
+    rule (e_2 is e_1).  The elimination is general, though; it does not
+    assume that answer.
     """
-    m = system.m
-    a = [list(row) for row in system.matrix]
-    sign = 1
-    prev = 1
-    for k in range(m - 1):
-        if a[k][k] == 0:
-            swap = next((r for r in range(k + 1, m) if a[r][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, m):
-            for j in range(k + 1, m):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[m - 1][m - 1]
+    return row_echelon(system).determinant
 
 
 def row_echelon(system: DenseSystem) -> EchelonResult:
@@ -144,23 +134,27 @@ def row_echelon(system: DenseSystem) -> EchelonResult:
     literal sequence "subtract each row from the next, alternating sign".
     That makes the final row the parity witness: its diagonal entry is
     1 - (-1)^M and its right-hand side is (for even M) twice the
-    alternating center sum.
+    alternating center sum.  The determinant is the signed product of the
+    pivots, an integer for the integer matrix; a column with no pivot makes
+    it 0.
     """
     m = system.m
     a = [[Fraction(v) for v in row] for row in system.matrix]
     b = [Fraction(v) for v in system.rhs]
     pivot_cols = []
-    row = 0
+    det = 1
     for col in range(m):
-        if row == m:
-            break
+        row = len(pivot_cols)   # the next pivot's row
         if a[row][col] == 0:
             swap = next((r for r in range(row + 1, m) if a[r][col] != 0), None)
             if swap is None:
+                det = 0
                 continue
             a[row], a[swap] = a[swap], a[row]
             b[row], b[swap] = b[swap], b[row]
+            det = -det
         pivot = a[row][col]
+        det *= pivot
         for r in range(row + 1, m):
             if a[r][col] != 0:
                 factor = a[r][col] / pivot
@@ -168,15 +162,11 @@ def row_echelon(system: DenseSystem) -> EchelonResult:
                     a[r][c] -= factor * a[row][c]
                 b[r] -= factor * b[row]
         pivot_cols.append(col)
-        row += 1
-    # Rows past the last pivot are structurally zero; rank counts rows that
-    # still carry a nonzero coefficient.
-    rank = sum(1 for r in range(m) if any(v != 0 for v in a[r]))
     return EchelonResult(
         reduced_matrix=tuple(tuple(r) for r in a),
         reduced_rhs=tuple(b),
-        rank=rank,
         pivot_columns=tuple(pivot_cols),
+        determinant=int(det),
     )
 
 
@@ -193,43 +183,38 @@ def solve_dense(system: DenseSystem) -> SolveOutcome:
     """
     ech = row_echelon(system)
     m = system.m
-    a, b = ech.reduced_matrix, ech.reduced_rhs
+    b = ech.reduced_rhs
     grid = PeriodicStagger1D(m + 2)
 
+    # A singular system has one dependent row for this pattern, the last; its
+    # rhs is the obstruction to solvability.
+    if ech.rank < m and b[m - 1] != 0:
+        return Inconsistent(b[m - 1])
+    # Every unknown without a pivot (the free one of a singular system) is set
+    # to zero for the particular solution.
+    sol = _back_substitute(ech, b)
+    particular = EdgeField1D(grid, np.array(sol, dtype=object))
     if ech.rank == m:
-        sol = _back_substitute(a, b, m)
-        return Unique(EdgeField1D(grid, np.array(sol, dtype=object)))
-
-    # Exactly one dependent row for this pattern.  Its rhs is the
-    # obstruction to solvability.
-    zero_row_rhs = b[m - 1]
-    if zero_row_rhs != 0:
-        return Inconsistent(zero_row_rhs)
-
-    # Consistent singular case: the free column is the one missing from the
-    # pivots.  Set that unknown to zero for the particular solution and
-    # solve the homogeneous system for the null direction.
-    free_col = next(c for c in range(m) if c not in ech.pivot_columns)
-    particular = _back_substitute(a, b, m, free_col, Fraction(0))
-    null = _back_substitute(a, [Fraction(0)] * m, m, free_col, Fraction(1))
+        return Unique(particular)
+    # The null direction solves the homogeneous system with the free unknown at 1.
+    null = _back_substitute(ech, [Fraction(0)] * m, Fraction(1))
     null = [v / null[0] for v in null]   # leads with +1
     # the kernel's partial sums of this particular, P_k = -(-1)^(k-1) p_k / 2, exact
-    partial = np.array([p / 2 if k % 2 else -p / 2 for k, p in enumerate(particular)],
-                       dtype=object)
-    return _kernel_field(Family, grid=grid, _partial=partial,
-                         particular=EdgeField1D(grid, np.array(particular, dtype=object)),
+    partial = np.array([p / 2 if k % 2 else -p / 2 for k, p in enumerate(sol)], dtype=object)
+    return _kernel_field(Family, grid=grid, _partial=partial, particular=particular,
                          null_direction=np.array(null, dtype=object))
 
 
-def _back_substitute(a, b, m: int, free_col: Optional[int] = None,
-                     free_value: Fraction = Fraction(0)) -> list:
-    """Back-substitute an echelon system of rank m, or of rank m - 1 with the
-    unknown ``free_col`` fixed at ``free_value``."""
+def _back_substitute(ech: EchelonResult, b, free_value: Fraction = Fraction(0)) -> list:
+    """Back-substitute the echelon form with right-hand side ``b``, each row
+    for the unknown in its pivot column, and every unknown without a pivot
+    fixed at ``free_value``."""
+    a = ech.reduced_matrix
+    m = len(a)
     sol: list = [free_value] * m
-    for r in range(m - 1 - (free_col is not None), -1, -1):
-        pivot_col = next(c for c in range(m) if a[r][c] != 0)
+    for r, col in reversed(list(enumerate(ech.pivot_columns))):
         acc = b[r]
-        for c in range(pivot_col + 1, m):
+        for c in range(col + 1, m):
             acc -= a[r][c] * sol[c]
-        sol[pivot_col] = acc / a[r][pivot_col]
+        sol[col] = acc / a[r][col]
     return sol

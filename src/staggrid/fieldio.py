@@ -135,7 +135,8 @@ def _header(path, lines):
     ASCII, a line cut at the ``_WINDOW`` limit, then each line in the order
     read.  A header line splits at single spaces, its only separator
     (str.split() would also split at other whitespace), and a header integer
-    is plain ASCII digits, unlike int()."""
+    is plain ASCII digits, unlike int(), and no more of them than int()
+    converts."""
     if not "".join(lines).isascii():
         raise FieldFormatError(f"field file {path} is not ASCII text")
     for k, line in enumerate(lines, 1):
@@ -172,7 +173,11 @@ def _header(path, lines):
                 what = "staggered-axis other than 'none'" if key == "staggered-axis" else key
                 raise FieldFormatError(
                     f"field file {path}: {what} must be plain digits, got {token!r}")
-        fields[key] = tuple(map(int, tokens)) if key == "shape" else int(tokens[0])
+        try:
+            fields[key] = tuple(map(int, tokens)) if key == "shape" else int(tokens[0])
+        except ValueError:   # beyond the interpreter's sys.get_int_max_str_digits()
+            raise FieldFormatError(
+                f"field file {path}: {key} has more digits than int() converts") from None
         if key == "ndim" and fields[key] < 1:
             raise FieldFormatError(f"field file {path}: ndim must be >= 1, got {fields[key]}")
     shape, count = fields["shape"], fields["count"]

@@ -22,7 +22,8 @@ e_1 / 2 would round, the pass takes (-1)^(k-1) (e_1 - 2 P_k) instead):
 * the even-N member p + t (+1, -1, ...): e_1 = t;
 * the even-N minimum-norm member: e_1 = 2 mean(P), orthogonal to the
   checkerboard;
-* the even-N member pinned at e_k = v: e_1 = 2 P_k + (-1)^(k-1) v.
+* the even-N member pinned at e_k = v: e_1 = 2 P_k + (-1)^(k-1) v, and e_k
+  then stored as v itself, which the pass would miss by one rounding.
 
 The 1-D and N-D APIs make these choices in one place, :func:`_first_edges`,
 and a :class:`Family` keeps P for them, so a line gets the same edges from
@@ -270,12 +271,15 @@ class Family:
         return self._completed("t", t)
 
     def pinned(self, pin_index: int, pin_value) -> EdgeField1D:
-        """The single member with e_{pin_index} = pin_value (1-based index)."""
+        """The single member with e_{pin_index} = pin_value (1-based index), that
+        edge exactly the value as :func:`_finite_number` takes it."""
         return self._completed("pin", pin_index, pin_value)
 
     def _completed(self, choice, *args) -> EdgeField1D:
         partial = self._partial
         edges = _telescope(_first_edges(partial, choice, *args), partial, np.empty_like(partial))
+        if choice == "pin":   # v itself: the telescope gives 2 ((P_k + v/2) - P_k)
+            edges[args[0] - 1] = _finite_number(args[1], partial.dtype == object, "pin value")
         return _kernel_field(EdgeField1D, grid=self.grid, values=edges)
 
 
@@ -618,7 +622,10 @@ def complete_lines(c: np.ndarray, strategy: str, tolerance: float = DEFAULT_TOLE
                 f"(residual {bad}, tolerance {float(tolerance):g})",
                 residual=bad, line_coords=coords)
         first = _first_edges(partial, strategy, pin_index, pin_value)
-    return _telescope(first, partial), residual
+    edges = _telescope(first, partial)
+    if strategy == "pin":   # v itself: the telescope gives 2 ((P_k + v/2) - P_k)
+        edges[..., pin_index - 1] = _finite_number(pin_value, c.dtype == object, "pin value")
+    return edges, residual
 
 
 def _neighbour_sums(x: np.ndarray) -> np.ndarray:
@@ -738,7 +745,8 @@ def complete_pinned(centers: CenterField1D, pin_index: int, pin_value,
                     tolerance: float = DEFAULT_TOLERANCE) -> EdgeField1D:
     """Solve an even-N system and pick the member with e_{pin_index} = pin_value.
 
-    ``pin_index`` is 1-based, matching the e_1..e_M naming.  Raises
+    ``pin_index`` is 1-based, matching the e_1..e_M naming, and that edge is
+    exactly ``pin_value``, as :func:`_finite_number` takes it.  Raises
     ParityError on odd N (there is nothing to pin: the solution is unique)
     and InconsistentDataError when no solution exists at all.
     """

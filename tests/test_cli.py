@@ -181,6 +181,19 @@ class TestToEdges:
         assert proc.returncode == 3
         assert b"whitespace other than spaces" in proc.stderr
 
+    @pytest.mark.parametrize("header, key", [
+        ("shape 2\nstaggered-axis none\ncount " + "0" * 5000 + "2", "count"),
+        ("shape " + "0" * 5000 + "2\nstaggered-axis none\ncount 2", "shape"),
+    ], ids=["count", "shape"])
+    def test_a_header_integer_int_cannot_convert_exit_3(self, tmp_path, header, key):
+        bad = tmp_path / "long.txt"
+        bad.write_text(f"staggrid-field 1\nndim 1\n{header}\n1.0\n3.0\n")
+        proc = run_cli("to-edges", "--input", str(bad), "--axis", "0",
+                       "--n-edges", "4", "--strategy", "min-norm",
+                       "--output", str(tmp_path / "o.txt"))
+        assert proc.returncode == 3
+        assert f": {key} has more digits than int() converts\n".encode() in proc.stderr
+
     @pytest.mark.parametrize("head, message", [
         (b"", b": header line 1 is longer than 131072 characters"),
         (b"staggrid-field \xe9", b" is not ASCII text"),

@@ -421,6 +421,10 @@ class TestReadErrors:
           "2.0"], ": count 2 does not match shape 3 = 3"),
         (["staggrid-field 1", "ndim 2", "shape 2 3", "staggered-axis 0", "count 5"],
          ": count 5 does not match shape 2x3 = 6"),
+        (["staggrid-field 1", "ndim 1", "shape 1", "staggered-axis none",
+          "count " + "0" * 5000 + "1", "1.0"], ": count has more digits than int() converts"),
+        (["staggrid-field 1", "ndim 2", "shape 1 " + "0" * 5000 + "1", "staggered-axis none",
+          "count 1", "1.0"], ": shape has more digits than int() converts"),
     ])
     def test_header_messages(self, tmp_path, lines, message):
         p = write_lines(tmp_path, lines)

@@ -1019,6 +1019,26 @@ def test_min_norm_is_orthogonal_projection(half, seed):
         assert np.linalg.norm(other.values) >= np.linalg.norm(best.values) * (1 - 1e-12)
 
 
+@given(st.integers(min_value=2, max_value=30), st.integers(0, 2**31 - 1), st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_pinned_edge_is_its_value_bit_for_bit(half, seed, data):
+    """Family.pinned, complete_pinned and to_edges_along(..., "pin"), on enough
+    lines for the row path, give e_k = v itself, not 2 ((P_k + v/2) - P_k),
+    which rounds at the scale of P_k."""
+    grid = PeriodicStagger1D(2 * half)
+    m = grid.n_unknowns
+    rng = np.random.default_rng(seed)
+    edges = rng.normal(scale=3.0, size=(kernel._ROWWISE_MIN_LINES, m)) + rng.choice([0.0, 1e6])
+    lines = (edges + np.roll(edges, -1, axis=-1)) / 2   # consistent up to rounding
+    k = data.draw(st.integers(1, m))
+    v = data.draw(st.floats(-1e6, 1e6))
+    c = CenterField1D(grid, lines[0])
+    for pinned in (edges_from_centers(c).pinned(k, v), complete_pinned(c, k, v)):
+        assert bits(pinned.values[k - 1]) == bits(v)
+    out, _ = to_edges_along(FieldND(lines.T), 0, m + 2, "pin", pin_index=k, pin_value=v)
+    assert bits(out.values[k - 1]) == bits(np.full(kernel._ROWWISE_MIN_LINES, v))
+
+
 @st.composite
 def scalable_lines(draw):
     """Even-M centers with every nonzero |c| in [2^-41, 2^40]: random, or the
