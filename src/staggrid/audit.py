@@ -1,11 +1,13 @@
 """Self-audit: parity theory versus the dense exact oracle, size by size.
 
-For every N in a range this builds the center-to-edge system, recomputes
-determinant, rank, and echelon structure with one exact dense elimination, and
-solves deterministic sample data with both the fast recurrence solver and
-dense elimination.  Each fact the parity classification asserts is checked
-against what the oracle actually computes; any disagreement flips the
-record (and the report) to FAIL.
+For every N in a range this builds the center-to-edge system of a sample,
+eliminates it once, reads determinant, rank, echelon structure and the dense
+solve off that one echelon form, and compares the solve with the fast
+recurrence solver's, by one rule (:func:`_agree`).  The forced-consistent
+even sample is a second system, eliminated once in its own dense solve.
+Each fact the parity classification asserts is checked against what the
+oracle actually computes; any disagreement flips the record (and the
+report) to FAIL.
 
 Sample data is fixed, not random, so the rendered report is reproducible:
 centers c_i = i for the generic sample, with the last center replaced by
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .exact import MAX_ORACLE_UNKNOWNS, build_system, row_echelon, solve_dense
+from .exact import MAX_ORACLE_UNKNOWNS, _outcome, build_system, row_echelon, solve_dense
 from .grid import (
     CenterField1D,
     Family,
@@ -82,8 +84,35 @@ class AuditReport:
 
 
 def _reproduces_centers(edges, centers: CenterField1D) -> bool:
-    back = centers_from_edges(edges)
-    return all(a == b for a, b in zip(back.values, centers.values))
+    return list(centers_from_edges(edges).values) == list(centers.values)
+
+
+def _agree(kind, fast, dense, centers: CenterField1D) -> bool:
+    """Whether the kernel's outcome ``fast`` and the oracle's ``dense`` for
+    ``centers`` are both a ``kind`` and the same answer.
+
+    The tests run in order and stop at the first that fails, so a wrong kernel
+    reads as a disagreement, not an exception: the types; then the edges, the
+    residual (twice the alternating sum of ``centers``) or the null direction;
+    then that the edges reproduce ``centers``; then, for a family, that the
+    particulars differ by a multiple of the null direction.  Every comparison
+    is of whole sequences, lengths included.
+    """
+    if not (isinstance(fast, kind) and isinstance(dense, kind)):
+        return False
+    if kind is Inconsistent:
+        return fast.residual == dense.residual == 2 * alternating_residual(centers)
+    if kind is Unique:
+        return (list(fast.edges.values) == list(dense.edges.values)
+                and _reproduces_centers(fast.edges, centers))
+    null = list(dense.null_direction)
+    if not (list(fast.null_direction) == null
+            and _reproduces_centers(fast.particular, centers)
+            and _reproduces_centers(dense.particular, centers)):
+        return False
+    diff = [a - b for a, b in zip(fast.particular.values, dense.particular.values)]
+    t = diff[0] / null[0]   # the null directions agree, so null[0] is the oracle's +1
+    return diff == [t * n for n in null]
 
 
 def _audit_one(n_edges: int) -> AuditRecord:
@@ -93,8 +122,7 @@ def _audit_one(n_edges: int) -> AuditRecord:
     vals = [Fraction(i) for i in range(1, m + 1)]   # the generic sample c_i = i, exact
     sample = CenterField1D(grid, vals)
 
-    system = build_system(sample)
-    ech = row_echelon(system)
+    ech = row_echelon(build_system(sample))
     bottom = ech.reduced_matrix[m - 1]
     zero_row = all(v == 0 for v in bottom)
 
@@ -106,44 +134,27 @@ def _audit_one(n_edges: int) -> AuditRecord:
     }
 
     fast = edges_from_centers(sample)
-    dense = solve_dense(system)
+    dense = _outcome(ech)   # the dense solve, read off the elimination above
 
     if grid.is_odd:
-        agree = (
-            isinstance(fast, Unique)
-            and isinstance(dense, Unique)
-            and all(a == b for a, b in zip(fast.edges.values, dense.edges.values))
-            and _reproduces_centers(fast.edges, sample)
-        )
+        agree = _agree(Unique, fast, dense, sample)
         checks["solve_unique"] = agree
         # The eliminated last equation reads (bottom pivot) * e_M = rhs, so
         # the rhs must be twice the last edge of the unique solution.
-        checks["bottom_rhs"] = ech.reduced_rhs[m - 1] == 2 * fast.edges.values[m - 1]
+        checks["bottom_rhs"] = (isinstance(fast, Unique)
+                                and ech.reduced_rhs[m - 1] == 2 * fast.edges.values[m - 1])
         solve_summary = "unique:" + ("agree" if agree else "disagree")
     else:
-        s = alternating_residual(sample)
-        incons_agree = (
-            isinstance(fast, Inconsistent)
-            and isinstance(dense, Inconsistent)
-            and fast.residual == dense.residual == 2 * s
-        )
+        incons_agree = _agree(Inconsistent, fast, dense, sample)
         checks["solve_inconsistent"] = incons_agree
-        checks["bottom_rhs"] = ech.reduced_rhs[m - 1] == 2 * s
+        checks["bottom_rhs"] = ech.reduced_rhs[m - 1] == 2 * alternating_residual(sample)
 
         # c_M forced to the alternating sum of the rest, written out here rather than
         # taken from the kernel it checks: the residual is then exactly zero
         forced = CenterField1D(grid, vals[:-1] + [
             sum(Fraction((-1) ** (m - 1 - i)) * vals[i - 1] for i in range(1, m))])
-        fast_f = edges_from_centers(forced)
-        dense_f = solve_dense(build_system(forced))
-        family_agree = (
-            isinstance(fast_f, Family)
-            and isinstance(dense_f, Family)
-            and all(a == b for a, b in zip(fast_f.null_direction, dense_f.null_direction))
-            and _reproduces_centers(fast_f.particular, forced)
-            and _reproduces_centers(dense_f.particular, forced)
-            and _same_family(fast_f, dense_f)
-        )
+        family_agree = _agree(Family, edges_from_centers(forced),
+                              solve_dense(build_system(forced)), forced)
         checks["solve_family"] = family_agree
         solve_summary = ("family:" + ("agree" if family_agree else "disagree")
                          + ",inconsistent:" + ("agree" if incons_agree else "disagree"))
@@ -164,13 +175,6 @@ def _audit_one(n_edges: int) -> AuditRecord:
         solve_summary=solve_summary,
         checks=checks,
     )
-
-
-def _same_family(a: Family, b: Family) -> bool:
-    """True when two families describe the same affine solution line."""
-    diff = [pa - pb for pa, pb in zip(a.particular.values, b.particular.values)]
-    t = diff[0] / a.null_direction[0]
-    return all(d == t * n for d, n in zip(diff, a.null_direction))
 
 
 def build_audit_report(n_min: int, n_max: int) -> AuditReport:

@@ -5,8 +5,10 @@ Everything here works on explicit dense matrices over exact arithmetic
 independent of the O(M) recurrence solver in :mod:`staggrid.grid`.  Its job
 is to certify that solver the slow, obviously-correct way, for cross-checking
 in tests and in the ``audit`` command.  One forward elimination,
-:func:`row_echelon`, gives the determinant, the rank, the echelon form and,
-by back-substitution, the solve.
+:func:`row_echelon`, gives the determinant, the rank and the echelon form;
+:func:`solve_dense` reads the outcome off that echelon form by
+back-substitution, so a caller that already holds it (the audit) solves
+without a second elimination.
 
 Dense exact elimination is O(M^3) with coefficient growth, so system
 construction is capped at ``MAX_ORACLE_UNKNOWNS`` unknowns.  The cap is fixed,
@@ -171,7 +173,8 @@ def row_echelon(system: DenseSystem) -> EchelonResult:
 
 
 def solve_dense(system: DenseSystem) -> SolveOutcome:
-    """Classify and solve the dense system exactly.
+    """Classify and solve the dense system exactly: one :func:`row_echelon`,
+    then :func:`_outcome` reads the outcome off its echelon form.
 
     Returns the same outcome types as the fast solver, always in exact
     mode: a full-rank system back-substitutes to :class:`Unique`; a
@@ -181,9 +184,14 @@ def solve_dense(system: DenseSystem) -> SolveOutcome:
     family keeps that particular and null direction, and its completions run
     the kernel's telescope from the partial sums of the particular.
     """
-    ech = row_echelon(system)
-    m = system.m
+    return _outcome(row_echelon(system))
+
+
+def _outcome(ech: EchelonResult) -> SolveOutcome:
+    """The outcome of the system whose echelon form is ``ech``, as
+    :func:`solve_dense` describes it; no elimination of its own."""
     b = ech.reduced_rhs
+    m = len(b)
     grid = PeriodicStagger1D(m + 2)
 
     # A singular system has one dependent row for this pattern, the last; its

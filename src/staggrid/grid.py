@@ -76,6 +76,7 @@ module state, so concurrent use on distinct values needs no locking.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import operator
@@ -141,10 +142,31 @@ class PeriodicStagger1D:
         return "odd" if self.is_odd else "even"
 
 
+_BOOLS = frozenset((bool, np.bool_))
+
+
+def _as_numbers(values) -> np.ndarray:
+    """``np.asarray(values)``, but a list or tuple holding a bool among numbers
+    (which a numeric array would hold as 0 or 1) is a ValueError naming its
+    flat index.  The list is scanned while it still holds the caller's
+    entries; an array keeps its dtype, and costs one isinstance check."""
+    raw = np.asarray(values)
+    if isinstance(values, (list, tuple)) and raw.dtype.kind in "iuf":
+        def leaves():   # the entries in C order, unpacked one nesting level at a time
+            flat = values
+            for _ in range(raw.ndim - 1):
+                flat = itertools.chain.from_iterable(flat)
+            return flat
+        if not _BOOLS.isdisjoint(set(map(type, leaves()))):
+            k, v = next((k, v) for k, v in enumerate(leaves()) if type(v) in _BOOLS)
+            raise ValueError(f"value at flat index {k} must be a finite real number, got {v}")
+    return raw
+
+
 def checked_floats(values) -> np.ndarray:
     """``values`` as a new float64 array of integers or floats, each finite and
     held exactly (the rule of :func:`_finite_number`), else ValueError."""
-    raw = np.asarray(values)
+    raw = _as_numbers(values)
     if raw.dtype.kind not in "iuf":
         raise ValueError(f"values must be real numbers, got dtype {raw.dtype}")
     with np.errstate(over="ignore"):  # a long double beyond float64 is reported below
@@ -175,7 +197,7 @@ def _coerce_values(values, expected_len: int) -> np.ndarray:
     exact mode only if some entry is a Fraction.  Everything else goes
     through :func:`checked_floats`.
     """
-    arr = np.asarray(values)
+    arr = _as_numbers(values)
     if arr.ndim != 1:
         raise ValueError(f"values must be one-dimensional, got shape {arr.shape}")
     if arr.shape[0] != expected_len:
@@ -735,8 +757,8 @@ def complete_min_norm(outcome: SolveOutcome) -> EdgeField1D:
     if isinstance(outcome, Inconsistent):
         raise InconsistentDataError(
             f"minimum-norm completion impossible: no solution exists "
-            f"(residual {outcome.residual!r})",
-            residual=outcome.residual,
+            f"(residual {outcome.residual})",
+            residual=outcome.residual, line_coords=(0,),
         )
     return outcome._completed("min-norm")
 

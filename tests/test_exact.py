@@ -1,15 +1,19 @@
 """Tests for the dense exact oracle and its agreement with the fast solver."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import staggrid.audit as audit
+import staggrid.exact as exact
 from staggrid import (
     CenterField1D,
     DenseSystem,
+    EdgeField1D,
     Family,
     Inconsistent,
     PeriodicStagger1D,
@@ -187,3 +191,51 @@ def test_echelon_bottom_rhs_identity(m, fracs):
         assert ech.reduced_rhs[m - 1] == 2 * out.edges.values[m - 1]
     else:
         assert ech.reduced_rhs[m - 1] == 2 * s
+
+
+class TestAudit:
+    """The audit, in process: the kernel against the oracle, size by size."""
+
+    def test_goldens_up_to_the_oracle_cap(self):
+        # one report, both renderings, byte for byte (the CLI writes them as they are)
+        report = audit.build_audit_report(3, 66)
+        goldens = Path(__file__).parent / "goldens"
+        assert audit.render_text(report).encode() == (goldens / "audit_3_66.txt").read_bytes()
+        assert audit.render_json(report).encode() == (goldens / "audit_3_66.json").read_bytes()
+
+    def test_each_audited_system_is_eliminated_once(self, monkeypatch):
+        sizes = []
+        real = exact.row_echelon
+
+        def counted(system):
+            sizes.append(system.m)
+            return real(system)
+
+        # the audit imports row_echelon by name, and solve_dense looks it up in exact
+        monkeypatch.setattr(exact, "row_echelon", counted)
+        monkeypatch.setattr(audit, "row_echelon", counted)
+        audit.build_audit_report(3, 10)
+        # one per size, and one more per even size for its forced-consistent sample
+        assert sorted(sizes) == sorted([*range(1, 9), 2, 4, 6, 8])
+
+    @pytest.mark.parametrize("mutant", ["one edge too many", "inconsistent"])
+    def test_a_wrong_kernel_fails_its_sizes(self, monkeypatch, mutant):
+        real = audit.edges_from_centers
+
+        def wrong(centers):   # its unique edges with e_1 appended, or no solution at all
+            out = real(centers)
+            if not isinstance(out, Unique):
+                return out
+            if mutant == "inconsistent":
+                return Inconsistent(Fraction(0))
+            values = list(out.edges.values)
+            grid = PeriodicStagger1D(centers.grid.n_edges + 1)
+            return Unique(EdgeField1D(grid, np.array(values + values[:1], dtype=object)))
+
+        monkeypatch.setattr(audit, "edges_from_centers", wrong)
+        report = audit.build_audit_report(3, 15)   # a disagreement, never an exception
+        assert not report.overall_pass
+        failed = [r for r in report.records if not r.passed]
+        assert [r.n_edges for r in failed] == [3, 5, 7, 9, 11, 13, 15]
+        assert all(r.solve_summary == "unique:disagree" for r in failed)
+        assert not any(r.checks["solve_unique"] for r in failed)

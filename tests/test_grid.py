@@ -160,6 +160,16 @@ class TestFields:
         with pytest.raises(ValueError, match="real numbers"):
             EdgeField1D(g, values)
 
+    @pytest.mark.parametrize("values,k", [([True, 2.0, 3.0], 0), ((1, 2, np.bool_(False)), 2),
+                                          ([1.5, np.float64(2.0), False], 2)])
+    def test_rejects_a_bool_among_numbers(self, values, k):
+        # numpy would hold it as 0 or 1; the list is checked before it is converted
+        g = PeriodicStagger1D(5)
+        message = f"^value at flat index {k} must be a finite real number, got {values[k]}$"
+        for cls in (CenterField1D, EdgeField1D):
+            with pytest.raises(ValueError, match=message):
+                cls(g, values)
+
     def test_field_types_share_one_body(self):
         g = PeriodicStagger1D(5)
         c, e = CenterField1D(g, [1, 2, 3]), EdgeField1D(g, [1, 2, 3])
@@ -548,6 +558,15 @@ class TestCompletions:
         with pytest.raises(InconsistentDataError) as info:
             complete_min_norm(out)
         assert info.value.residual == 6
+        # the residual shows as str shows it, and the line is (0,), as complete_pinned says
+        for values, shown in (([Fraction(v) for v in (1, 2, 3, 5)], "6"), ([1.0, 2.0, 3.0, 5.0], "6.0")):
+            out = edges_from_centers(CenterField1D(PeriodicStagger1D(6), values))
+            with pytest.raises(InconsistentDataError) as info:
+                complete_min_norm(out)
+            assert str(info.value) == ("minimum-norm completion impossible: no solution exists "
+                                       f"(residual {shown})")
+            assert info.value.line_coords == (0,) and str(info.value.residual) == shown
+            assert type(info.value.residual) is type(values[0])
 
     def test_pinned_examples(self):
         c = exact_centers(PeriodicStagger1D(6), [1, 2, 3, 2])

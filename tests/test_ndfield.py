@@ -87,6 +87,17 @@ class TestFieldND:
         with pytest.raises(ValueError, match="real numbers"):
             FieldND(values)
 
+    @pytest.mark.parametrize("values,k,shown", [([[True, 2.0]], 0, "True"),
+                                                ([[1.0, 2.0], [3.0, False]], 3, "False"),
+                                                ([(1, 2), np.array([True, False])], 2, "True"),
+                                                ([[[1.0], [np.bool_(True)]]], 1, "True")])
+    def test_rejects_a_bool_among_numbers(self, values, k, shown):
+        # numpy would hold it as 0 or 1; the nested list is checked in C order before
+        # it is converted
+        message = f"^value at flat index {k} must be a finite real number, got {shown}$"
+        with pytest.raises(ValueError, match=message):
+            FieldND(values)
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             FieldND(np.array([1.0, np.nan]))
