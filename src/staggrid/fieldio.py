@@ -11,14 +11,16 @@ Format, one item per line:
     -2.5
     ...
 
-Values are written with ``repr(float(v))``, which round-trips float64
-exactly, and stored in C (row-major) order.  ``staggered-axis`` is either
-``none`` or the axis index.  A line ends at ``\n``, ``\r\n`` or a lone
-``\r``.  Parsing is strict: any malformed header, count mismatch, or
-unreadable value raises FieldFormatError, and a bad value is named by the
-first line that holds one.
+Values are written with the bytes of ``repr(float(v))``, which round-trips
+float64 exactly, and stored in C (row-major) order.  Most lines come from a
+formatter that finds each value's shortest round-trip digits in numpy, a
+block at a time; ``repr`` itself writes the values that it cannot certify.
+``staggered-axis`` is either ``none`` or the axis index.  A line ends at
+``\n``, ``\r\n`` or a lone ``\r``.  Parsing is strict: any malformed header,
+count mismatch, or unreadable value raises FieldFormatError, and a bad value
+is named by the first line that holds one.
 
-Both directions hold one block of strings at a time, never a string per
+Both directions hold one block of text at a time, never a string per
 value: the write formats ``_BLOCK`` values per write call.  The read takes
 the five header lines one ``readline`` of at most ``_WINDOW`` characters
 each and checks them before it reads the body, in one read; it counts the
@@ -42,7 +44,7 @@ _MAGIC = "staggrid-field 1"
 #: the blanks it strips.
 _NOT_IN_VALUES = "_ \t\v\f"
 #: Values formatted per block by write_field.
-_BLOCK = 8192
+_BLOCK = 4096
 #: Characters of the body split and parsed per window by read_field, and the
 #: most it reads of one header line.
 _WINDOW = 1 << 17
@@ -55,12 +57,127 @@ def write_field(path: Union[str, os.PathLike], field: FieldND) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{_MAGIC}\nndim {values.ndim}\nshape {' '.join(map(str, values.shape))}\n"
                  f"staggered-axis {axis}\ncount {values.size}\n")
-        # "%r" of the Python floats that tolist() makes is repr(float(v)); one
-        # block at a time, in C order whatever the layout, so that at most
-        # _BLOCK floats and their strings are held at once
+        # one block at a time, in C order whatever the layout, so that at most
+        # _BLOCK values and their text are held at once
         for start in range(0, values.size, _BLOCK):
-            block = values.flat[start:start + _BLOCK].tolist()
-            fh.write(("%r\n" * len(block)) % tuple(block))
+            fh.write(_format_block(values.flat[start:start + _BLOCK]))
+
+
+def _tables():
+    """``(rows, quads, lead)`` for :func:`_format_block`.
+
+    A certified line is built in a row of 40 bytes: the sign, ``0.`` and three
+    zeros, then the value's 17 digits, each followed by a separator: ``.`` after
+    the last integer digit, the newline after the 17th, a space elsewhere.  A
+    character the line does not use is a space, and the spaces are deleted.
+    ``rows`` holds the row with every digit 0 for each sign, decimal-point
+    position d = -3..16 and count t = 1..17 of digits shown; ``quads`` and
+    ``lead`` hold the digit values that are added to it, four and one at a time.
+    """
+    minus, space, zero, dot, newline = np.frombuffer(b"- 0.\n", np.uint8)
+    neg = np.arange(2)[:, None, None]
+    d = np.arange(-3, 17)[:, None, None]
+    t = np.arange(1, 18)[:, None]
+    digit = np.arange(17)   # in column 6 + 2 digit, and its separator in the next
+    rows = np.full((2, 20, 17, 40), space)
+    rows[..., 0] = np.where(neg, minus, space)
+    rows[..., 1:3] = np.where(d <= 0, (zero, dot), space)
+    rows[..., 3:6] = np.where(np.arange(1, 4) <= -d, zero, space)
+    rows[..., 6::2] = np.where(digit < t, zero, space)
+    rows[..., 7::2] = np.where(digit == d - 1, dot, space)
+    rows[..., 39] = newline
+    quads = np.zeros((10**4, 8), np.uint8)
+    for i in range(4):
+        quads[:, 2 * i] = np.arange(10**4, dtype=np.uint16) // 10**(3 - i) % 10
+    lead = np.zeros((10, 8), np.uint8)
+    lead[:, 6] = np.arange(10)
+    return (rows.reshape(-1, 40).view(np.uint64), quads.view(np.uint64).ravel(),
+            lead.view(np.uint64).ravel())
+
+
+_ROWS, _QUADS, _LEAD = _tables()
+_REPR_ROW = np.frombuffer(b"%r\n".ljust(40), np.uint64)
+#: 10**k as floats, all exact
+_TEN = np.array([float(10**k) for k in range(23)])
+
+
+def _format_block(block: np.ndarray) -> str:
+    """``"".join(repr(float(v)) + "\\n" for v in block)``, byte for byte: the
+    lines of certified values are built in numpy, and ``"%r"`` formats the
+    others."""
+    digits, zeros, point, ok = _shortest(np.abs(block))
+    lead = digits // 10**16
+    high, low = np.divmod(digits - lead * 10**16, 10**8)
+    # a digit is shown up to the last nonzero one, and up to the first after the point
+    code = (np.signbit(block) * 20 + point + 3) * 17 + np.maximum(point + 1, 17 - zeros) - 1
+    text = bytearray(40 * block.size)
+    # word 0 of a row ends with the first digit, and each other word holds four
+    rows = np.frombuffer(text, np.uint64).reshape(-1, 5)
+    _ROWS.take(code, axis=0, out=rows, mode="clip")   # uncertified values may lie outside
+    rows[:, 0] += _LEAD.take(lead, mode="clip")
+    for i, part in enumerate((high, low)):
+        rows[:, 2 * i + 1] += _QUADS[part // 10**4]
+        rows[:, 2 * i + 2] += _QUADS[part % 10**4]
+    rows[~ok] = _REPR_ROW
+    del rows   # so that the row buffer is freed once it is translated
+    text = text.translate(None, b" ").decode("ascii")
+    return text % tuple(block[~ok].tolist()) if not ok.all() else text
+
+
+def _shortest(a: np.ndarray):
+    """``(digits, zeros, point, ok)`` for the magnitudes ``a``: where ``ok``,
+    ``repr`` writes the value as the 17-digit integer ``digits`` with its
+    ``zeros`` trailing zeros dropped, times 10**(point - 17), in fixed notation.
+
+    repr picks the fewest digits that read back as the value, and of those
+    the nearest to it (Steele and White; Adams, "Ryu", PLDI 2018).  Scaled by
+    10**k into [1e16, 1e17), the value is X = p + e exactly, and the integers
+    that read back as it are L..U, those within half an ulp of X.  An end of
+    that interval is an integer only where 2**52 <= |v| < 1e16 (k = 1), and
+    there no end has more trailing zeros than X itself, so whether an end
+    reads back never matters.  Not ``ok``: zero, |v| < 1e-4 and |v| >= 1e16
+    (repr writes an exponent there), powers of two (their interval is not
+    symmetric), a value with two nearest candidates, and one that log10 put
+    in the wrong decade.
+    """
+    ok = (a >= 1e-4) & (a < 1e16) & (np.frexp(a)[0] != 0.5)
+    a = np.where(ok, a, 1.5)   # a stand-in, so that no ufunc below warns
+    k = 16 - np.floor(np.log10(a)).astype(np.intp)
+    p, e = _two_product(a, _TEN[k])
+    half = np.ldexp(_TEN[k], np.frexp(a)[1] - 54)   # half an ulp of a, times 10**k
+    p = p.astype(np.int64)
+    low = p + np.ceil(e - half).astype(np.int64)
+    high = p + np.floor(e + half).astype(np.int64)
+    ok &= (low >= 10**16) & (high < 10**17)
+    # the most trailing zeros that a candidate in L..U has: each 10**j that
+    # divides one is tried on the values that still have one
+    zeros = np.zeros(a.size, np.intp)
+    live = np.flatnonzero(ok)
+    for j in range(1, 17):
+        live = live[high[live] // 10**j * 10**j >= low[live]]
+        if not live.size:
+            break
+        zeros[live] = j
+    # the multiple of 10**zeros nearest X = floor(X) + frac, which lies in L..U
+    step = 10 ** zeros
+    floor_e = np.floor(e)
+    whole, frac = p + floor_e.astype(np.int64), e - floor_e
+    below = whole // step
+    over = (2 * (whole - below * step) - step) + 2 * frac   # 2 (X - below * step) - step
+    ok &= over != 0
+    return (below + (over > 0)) * step, zeros, 17 - k, ok
+
+
+def _two_product(a, b):
+    """``(p, e)``: p = a*b rounded and p + e = a*b exactly (Dekker 1971, with
+    Veltkamp's split, as numpy has no fused multiply-add)."""
+    def split(x):
+        c = x * 134217729.0   # 2**27 + 1
+        high = c - (c - x)
+        return high, x - high
+    (ah, al), (bh, bl) = split(a), split(b)
+    p = a * b
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
 def read_field(path: Union[str, os.PathLike]) -> FieldND:

@@ -142,14 +142,16 @@ class PeriodicStagger1D:
         return "odd" if self.is_odd else "even"
 
 
-_BOOLS = frozenset((bool, np.bool_))
+#: The types of an entry that may be a bool.
+_BOOLS = frozenset((bool, np.bool_, np.ndarray))
 
 
 def _as_numbers(values) -> np.ndarray:
-    """``np.asarray(values)``, but a list or tuple holding a bool among numbers
-    (which a numeric array would hold as 0 or 1) is a ValueError naming its
-    flat index.  The list is scanned while it still holds the caller's
-    entries; an array keeps its dtype, and costs one isinstance check."""
+    """``np.asarray(values)``, but a list or tuple holding a bool among numbers,
+    or a 0-d bool array (which a numeric array would hold as 0 or 1), is a
+    ValueError naming its flat index.  The list is scanned while it still
+    holds the caller's entries; an array keeps its dtype, and costs one
+    isinstance check."""
     raw = np.asarray(values)
     if isinstance(values, (list, tuple)) and raw.dtype.kind in "iuf":
         def leaves():   # the entries in C order, unpacked one nesting level at a time
@@ -157,9 +159,12 @@ def _as_numbers(values) -> np.ndarray:
             for _ in range(raw.ndim - 1):
                 flat = itertools.chain.from_iterable(flat)
             return flat
+        # a 0-d array is an entry too, and numpy takes a bool one as 0 or 1 as well
         if not _BOOLS.isdisjoint(set(map(type, leaves()))):
-            k, v = next((k, v) for k, v in enumerate(leaves()) if type(v) in _BOOLS)
-            raise ValueError(f"value at flat index {k} must be a finite real number, got {v}")
+            for k, v in enumerate(leaves()):
+                if type(v) in _BOOLS and np.asarray(v).dtype == np.bool_:
+                    raise ValueError(
+                        f"value at flat index {k} must be a finite real number, got {v}")
     return raw
 
 

@@ -1,10 +1,14 @@
 """Tests for the plain-text field file format."""
 
+import math
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from staggrid import FieldFormatError, FieldND, fieldio, read_field, write_field
 
@@ -98,8 +102,8 @@ class TestBlockedWrite:
     """write_field formats _BLOCK values at a time, with the same bytes as one
     string per value."""
 
-    @pytest.mark.parametrize("n", [0, 1, fieldio._BLOCK - 1, fieldio._BLOCK,
-                                   fieldio._BLOCK + 1, 2 * fieldio._BLOCK + 1])
+    @pytest.mark.parametrize("n", [0, 1, *(k * fieldio._BLOCK + d for k in (1, 2)
+                                           for d in (-1, 0, 1)), 4 * fieldio._BLOCK + 1])
     def test_bytes_at_block_edges(self, tmp_path, n):
         field = FieldND(random_bits(n, n))
         path = tmp_path / "f.txt"
@@ -115,6 +119,89 @@ class TestBlockedWrite:
         write_field(path, field)
         assert path.read_text() == reference_text(field)
         assert np.array_equal(read_field(path).values, field.values)
+
+
+def repr_lines(values):
+    """One ``repr(float(v))`` line per value: what _format_block must write."""
+    return "".join(repr(v) + "\n" for v in np.asarray(values, dtype=np.float64).tolist())
+
+
+def with_neighbours(x, n=3):
+    """The positive normal floats ``x``, the n floats on either side of each, and
+    all of their negatives."""
+    bits = np.asarray(x, dtype=np.float64).view(np.int64)[:, None] + np.arange(-n, n + 1)
+    v = bits.ravel().view(np.float64)
+    return np.concatenate([v, -v])
+
+
+def certified(values):
+    """Which values _format_block writes itself, not through repr."""
+    return fieldio._shortest(np.abs(np.asarray(values, dtype=np.float64)))[3]
+
+
+def short_decimals(n, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n) * 10.0 ** rng.integers(-4, 16, size=n)
+    return np.array([round(v, d) for v, d in zip(x.tolist(), rng.integers(0, 8, size=n).tolist())])
+
+
+def log_uniform(n, seed):
+    rng = np.random.default_rng(seed)
+    return np.exp(rng.uniform(math.log(1e-6), math.log(1e17), n)) * rng.choice([-1.0, 1.0], n)
+
+
+class TestVectorFormat:
+    """_format_block writes the bytes of repr, and certifies most values itself;
+    repr writes those it cannot certify."""
+
+    @pytest.mark.parametrize("values", [
+        pytest.param(lambda: random_bits(200_000, 31), id="random-bits"),
+        pytest.param(lambda: np.random.default_rng(32).normal(size=50_000), id="normal"),
+        pytest.param(lambda: np.random.default_rng(33).normal(size=50_000) + 1e6, id="offset-1e6"),
+        pytest.param(lambda: log_uniform(100_000, 34), id="log-uniform-1e-6-1e17"),
+        pytest.param(lambda: short_decimals(50_000, 35), id="short-decimals"),
+        pytest.param(lambda: np.concatenate([[0.0, -0.0],
+                                             with_neighbours(2.0 ** np.arange(-30, 61))]),
+                     id="powers-of-two"),
+        pytest.param(lambda: with_neighbours(10.0 ** np.arange(-6, 18)), id="powers-of-ten"),
+        # where an end of a value's rounding interval, times 10**k, is an integer
+        pytest.param(lambda: np.random.default_rng(38).integers(
+            np.float64(2.0**52).view(np.int64), np.float64(1e16).view(np.int64), 50_000,
+        ).view(np.float64), id="2**52-to-1e16"),
+        pytest.param(lambda: np.concatenate([with_neighbours([1e-4, 1e16], 40), [
+            5e-324, -5e-324, 1e-323, 2.2250738585072009e-308, -2.2250738585072014e-308,
+            1.7976931348623157e308, -1.7976931348623157e308]]), id="range-ends-subnormal-max"),
+    ])
+    def test_bytes_are_those_of_repr(self, values):
+        values = values()
+        assert fieldio._format_block(values) == repr_lines(values)
+
+    def test_a_block_that_repr_writes_whole(self):
+        values = np.array([0.0, -0.0, 1.0, -0.5, 2.0**40, 9.99e-5, -1e16, 3e200, 5e-324])
+        assert not certified(values).any()
+        assert fieldio._format_block(values) == repr_lines(values)
+
+    def test_a_mixed_block(self):
+        values = np.random.default_rng(36).normal(size=1000)
+        values[::7], values[3::7], values[5::7] = 0.0, -4.0, 1e300
+        ok = certified(values)
+        assert not ok[::7].any() and not ok[3::7].any() and not ok[5::7].any()
+        assert ok.sum() > 500
+        assert fieldio._format_block(values) == repr_lines(values)
+
+    def test_most_values_are_certified(self):
+        # a formatter that left every value to repr would write the same bytes
+        ok = certified(np.random.default_rng(37).normal(size=10**5))
+        assert ok.mean() >= 0.999
+
+    @given(hnp.arrays(np.float64, st.integers(0, 40), elements=st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        # and more often where the values are certified
+        st.builds(lambda v, sign: sign * v, st.floats(1e-4, 1e16, exclude_max=True),
+                  st.sampled_from([1.0, -1.0])))))
+    @settings(max_examples=300, deadline=None)
+    def test_any_finite_floats(self, values):
+        assert fieldio._format_block(values) == repr_lines(values)
 
 
 HEADER = "staggrid-field 1\nndim 1\nshape {0}\nstaggered-axis none\ncount {0}\n"

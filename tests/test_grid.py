@@ -161,9 +161,12 @@ class TestFields:
             EdgeField1D(g, values)
 
     @pytest.mark.parametrize("values,k", [([True, 2.0, 3.0], 0), ((1, 2, np.bool_(False)), 2),
-                                          ([1.5, np.float64(2.0), False], 2)])
+                                          ([1.5, np.float64(2.0), False], 2),
+                                          ([np.array(False), 2.0, 3.0], 0),
+                                          ([1.0, np.array(2.0), np.array(True)], 2)])
     def test_rejects_a_bool_among_numbers(self, values, k):
-        # numpy would hold it as 0 or 1; the list is checked before it is converted
+        # numpy would hold it as 0 or 1, also in a 0-d array; the list is checked
+        # before it is converted
         g = PeriodicStagger1D(5)
         message = f"^value at flat index {k} must be a finite real number, got {values[k]}$"
         for cls in (CenterField1D, EdgeField1D):

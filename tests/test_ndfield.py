@@ -90,7 +90,10 @@ class TestFieldND:
     @pytest.mark.parametrize("values,k,shown", [([[True, 2.0]], 0, "True"),
                                                 ([[1.0, 2.0], [3.0, False]], 3, "False"),
                                                 ([(1, 2), np.array([True, False])], 2, "True"),
-                                                ([[[1.0], [np.bool_(True)]]], 1, "True")])
+                                                ([[[1.0], [np.bool_(True)]]], 1, "True"),
+                                                ([np.array(True), 2.0], 0, "True"),
+                                                ([[1.0, np.array(2.0)], [3.0, np.array(False)]],
+                                                 3, "False")])
     def test_rejects_a_bool_among_numbers(self, values, k, shown):
         # numpy would hold it as 0 or 1; the nested list is checked in C order before
         # it is converted
