@@ -64,11 +64,16 @@ the halves.
 
 The line kernel works along the last axis of an array of any rank: an N-D
 field runs it once over all of its lines, and the 1-D API is a batch of
-one.  Fields hold float64 values by default.  Constructing a field from
+one.  Fields hold float64 values by default.  Constructing a 1-D field from
 ``fractions.Fraction`` entries switches every operation on it to exact
 rational arithmetic (the kernel's constants are integers, and numpy's
 object arrays sum Fractions exactly); in that mode the even-N consistency
 test is S == 0 and ``tolerance`` is ignored (see :func:`solve_lines`).
+Otherwise the two modes take one path.  Finiteness is read one way in both,
+``np.abs(x) < np.inf`` (``abs(x) < math.inf`` for a scalar): False for nan and
++-inf, True for every Fraction, which compares with a float infinity, so a
+Fraction is always finite, whatever its size.  A scalar goes back to the
+caller as ``np.asarray(x).item()``, a Python float or a Fraction.
 
 All functions here are pure: they never mutate their inputs and keep no
 module state, so concurrent use on distinct values needs no locking.
@@ -373,15 +378,16 @@ def alternating_sums(c: np.ndarray):
 
 def _pair_total(op, x: np.ndarray, divisor: int = 1):
     """sum_j op(x_{2j+1}, x_{2j}) / ``divisor`` of every line of ``x``: the sum as
-    :func:`_pair_sum` makes it, divided once.  A float line whose quotient is not
-    finite is summed again alone on x / 2^k, k = ceil(log2 n) for lines of n
-    values, where no sum of n/2 terms, each at most 2 max|x| / 2^k, overflows; it
-    is divided there and scaled back by 2^k, so that it overflows only where the
-    quotient does.  No other line is touched."""
+    :func:`_pair_sum` makes it, divided once.  A line whose quotient is not finite
+    (never a Fraction line: a Fraction is always finite) is summed again alone on
+    x / 2^k, k = ceil(log2 n) for lines of n values, where no sum of n/2 terms,
+    each at most 2 max|x| / 2^k, overflows; it is divided there and scaled back
+    by 2^k, so that it overflows only where the quotient does.  No other line is
+    touched."""
     total = _pair_sum(op, x)
     if divisor != 1:   # an empty sum of Fractions is the int 0, which / makes a float
         total = total / divisor
-    if x.dtype.kind == "f" and not np.all(np.isfinite(total)):
+    if not np.all(np.abs(total) < np.inf):
         total, bad = np.asarray(total), ~np.isfinite(total)
         scale = 2.0 ** (x.shape[-1] - 1).bit_length()
         total[bad] = _pair_sum(op, x[bad] / scale) / divisor * scale
@@ -450,17 +456,18 @@ def _telescope(first, partial: np.ndarray, out=None) -> np.ndarray:
     even-k slots negated, in place: no sign array).  A line whose e_1 / 2 rounds
     (|e_1| < 2^-1021, with a last bit at 2^-1074) takes (-1)^(k-1) (e_1 - 2 P_k)
     instead, where 2 P_k overflows only with the edge; either way each edge is
-    rounded once.
+    rounded once.  A Fraction line takes the same test, and halving is exact
+    there, so no line of it takes the other form.
 
     ValueError if an edge overflows float64, read from the FP flag, with no pass
     over the edges: where e_1 and P are finite, only overflow makes an edge
     infinite.  A non-finite e_1 or P shows in the last edge, checked once per
     line: P_k = P_{k-1} +- c_{k-1} with every c finite, so P is finite exactly
-    when P_M is."""
+    when P_M is.  The check is |e| < inf, which every Fraction passes."""
     first = np.asarray(first)[..., None]
     half = first / 2
     rounded = None
-    if partial.dtype != object and np.min(np.abs(first), initial=np.inf) < 2.0**-1021:
+    if np.min(np.abs(first), initial=np.inf) < 2.0**-1021:
         rounded = (half * 2 != first)[..., 0]
     out = partial if out is None else out
     try:
@@ -474,7 +481,7 @@ def _telescope(first, partial: np.ndarray, out=None) -> np.ndarray:
             np.negative(out[..., 1::2], out=out[..., 1::2])
     except FloatingPointError:
         raise ValueError(_OVERFLOW.format("edge values")) from None
-    if partial.dtype != object and not np.all(np.isfinite(out[..., -1])):
+    if not np.all(np.abs(out[..., -1]) < np.inf):
         raise ValueError(_OVERFLOW.format("edge values"))
     return out
 
@@ -557,9 +564,9 @@ def solve_lines(c: np.ndarray, tolerance: float = DEFAULT_TOLERANCE):
     ``tolerance`` is a finite real number (:func:`_finite_number`) >= 0.
     S is summed as :func:`_pair_total` sums it, again alone at 2^-k, k =
     ceil(log2 M), where the sum overflows, so 2 S is +-inf only where it does not
-    fit.  A float line whose 2 S overflows is decided alone at 2^-k, where S fits:
-    there max|c| >= 1, so scaling both sides is exact, even where S, and with a
-    tolerance over 2 the bound, are beyond float64.
+    fit.  A line whose 2 S is not finite, never a Fraction line, is decided alone
+    at 2^-k, where S fits: there max|c| >= 1, so scaling both sides is exact,
+    even where S, and with a tolerance over 2 the bound, are beyond float64.
 
     P is a new buffer.  On the row path (:func:`_rowwise`) it is laid out
     position-outermost and summed with one row add per position, and S is row
@@ -595,7 +602,7 @@ def solve_lines(c: np.ndarray, tolerance: float = DEFAULT_TOLERANCE):
         residual = 2 * s
         allowance = 0 if c.dtype == object else tolerance + 2 * m * 2.0**-53
         consistent = np.abs(residual) <= allowance * max_abs
-        if c.dtype != object and not np.all(np.isfinite(residual)):
+        if not np.all(np.abs(residual) < np.inf):
             # there max|c| >= 1, and |S| <= allowance max|c| / 2 is decided exactly at
             # 2^-k, where S fits even if it overflows (with a tolerance over 2, so may the bound)
             consistent, bad = np.array(consistent), ~np.isfinite(residual)
@@ -711,15 +718,16 @@ def alternating_residual(centers: CenterField1D):
 
     For odd M this equals e_1 of the unique solution; for even M the system
     is consistent exactly when S vanishes (equivalently, when c_M equals the
-    alternating sum of the other centers).  ValueError only if S itself is
-    beyond float64: where differences or partial sums overflow but S fits, it is
-    summed again on a prescale (see :func:`_pair_total`).
+    alternating sum of the other centers).  S is a Python float, or a Fraction
+    in exact mode.  ValueError only if S is not finite, so beyond float64, which
+    a Fraction never is: where differences or partial sums overflow but S fits,
+    it is summed again on a prescale (see :func:`_pair_total`).
     """
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         s = alternating_sums(centers.values)
-    if not centers.exact and not math.isfinite(s):
+    if not abs(s) < math.inf:
         raise ValueError(_OVERFLOW.format("the alternating sum"))
-    return s if centers.exact else float(s)
+    return np.asarray(s).item()
 
 
 def edges_from_centers(centers: CenterField1D,
@@ -731,9 +739,9 @@ def edges_from_centers(centers: CenterField1D,
     within one rounding per center; S == 0 in exact mode), a :class:`Family`
     holding the partial sums P, with no edge built yet; else
     :class:`Inconsistent` with the residual 2 S of :func:`solve_lines` (+-inf if it
-    overflows), as :func:`complete_lines` raises it.
+    overflows), as :func:`complete_lines` raises it, a Python float or a Fraction.
     Raises ValueError when the edges overflow float64, on even N only when P
-    does, so that no member fits.
+    does (P_M is not finite), so that no member fits; a Fraction line never does.
     """
     grid = centers.grid
     if grid.is_odd:
@@ -741,8 +749,8 @@ def edges_from_centers(centers: CenterField1D,
         return Unique(_kernel_field(EdgeField1D, grid=grid, values=edges))
     partial, _, residual, consistent = solve_lines(centers.values, tolerance)
     if not consistent:
-        return Inconsistent(residual if centers.exact else float(residual))
-    if not centers.exact and not math.isfinite(partial[-1]):
+        return Inconsistent(np.asarray(residual).item())
+    if not abs(partial[-1]) < math.inf:
         raise ValueError(_OVERFLOW.format("edge values"))
     return _kernel_field(Family, grid=grid, _partial=partial)
 

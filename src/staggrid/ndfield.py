@@ -44,7 +44,13 @@ class FieldND:
 
     ``staggered_axis`` is None for a fully centered field, or the index of
     the axis whose extent counts independent edge values.  The constructor
-    checks and copies outside input; the transforms wrap their new results.
+    checks and copies outside input (:func:`~staggrid.grid.checked_floats`); the
+    transforms wrap their new results.
+
+    ``values`` must be numeric, an array or sequence that numpy holds as int,
+    uint or float, each entry finite and held exactly by float64.  Object input
+    is refused with ValueError, Fractions included, and so are integers too
+    large for a numpy integer array, such as 2**64: a FieldND has no exact mode.
     """
 
     values: np.ndarray

@@ -918,6 +918,58 @@ def test_exact_outputs_hold_only_fractions(n):
         assert all(type(v) is Fraction for v in field.values)
 
 
+@pytest.mark.parametrize("scale", [Fraction(1, 2**1100), Fraction(10**400)],
+                         ids=["2^-1100", "10^400"])
+@pytest.mark.parametrize("m", [5, 6])
+def test_exact_lines_beyond_either_end_of_float64(m, scale):
+    """Fraction lines below float64's least subnormal and beyond its largest
+    value meet every finiteness test of the kernel and the 1-D API as finite
+    (the odd line's e_1 = S, below 2^-1021, takes the halving check too), and
+    give exactly the dense oracle's Fractions, alone or in a batch of three."""
+    grid = PeriodicStagger1D(m + 2)
+    planted = [Fraction(k * k - 3 * k + 1, 7) * scale for k in range(m)]
+    # averages of planted edges: an even line is consistent, S == 0 exactly
+    batch = [[(a + b) / 2 * f for a, b in zip(planted, planted[1:] + planted[:1])]
+             for f in (1, -3, Fraction(1, 5))]
+    t, pin_index, pin_value = Fraction(-2, 9) * scale, 2, Fraction(5, 3) * scale
+
+    def oracle(line, strategy):
+        dense = solve_dense(build_system(CenterField1D(grid, np.array(line, dtype=object))))
+        if strategy == "unique":
+            return list(dense.edges.values)
+        p, n = list(dense.particular.values), list(dense.null_direction)
+        if strategy == "min-norm":
+            at = -sum(a * b for a, b in zip(p, n)) / m
+        else:   # the member at t is the one with e_1 = t
+            k, v = (1, t) if strategy == "t" else (pin_index, pin_value)
+            at = (v - p[k - 1]) / n[k - 1]
+        return [a + at * b for a, b in zip(p, n)]
+
+    centers = CenterField1D(grid, np.array(batch[0], dtype=object))
+    s = alternating_residual(centers)
+    assert type(s) is Fraction
+    assert s == sum((-1) ** (m - i) * c for i, c in enumerate(batch[0], 1))
+    outcome = edges_from_centers(centers)
+    if m % 2:
+        assert s == planted[0] and (scale > 1 or abs(s) < 2.0**-1021)
+        fields = {"unique": outcome.edges}
+    else:
+        assert s == 0
+        fields = {"t": outcome.member(t), "min-norm": complete_min_norm(outcome),
+                  "pin": complete_pinned(centers, pin_index, pin_value)}
+    for strategy, field in fields.items():
+        got = field.values.tolist()
+        assert got == oracle(batch[0], strategy) and all(type(v) is Fraction for v in got)
+
+    for strategy in ["unique"] if m % 2 else ["min-norm", "pin"]:
+        pin = (pin_index, pin_value) if strategy == "pin" else ()
+        edges, residual = kernel.complete_lines(np.array(batch, dtype=object), strategy,
+                                                kernel.DEFAULT_TOLERANCE, *pin)
+        assert edges.tolist() == [oracle(line, strategy) for line in batch]
+        assert all(type(v) is Fraction for v in edges.flat)
+        assert residual is None if m % 2 else residual.tolist() == [0, 0, 0]
+
+
 # -- properties --------------------------------------------------------------
 
 def random_centers(grid, seed):
