@@ -7,7 +7,9 @@ recurrence solver's, by one rule (:func:`_agree`).  The forced-consistent
 even sample is a second system, eliminated once in its own dense solve.
 Each fact the parity classification asserts is checked against what the
 oracle actually computes; any disagreement flips the record (and the
-report) to FAIL.
+report) to FAIL.  A record keeps only what the oracle and the kernel gave;
+what the theory asserts is its ``report``, read from
+:func:`~staggrid.grid.solvability_report` by size.
 
 Sample data is fixed, not random, so the rendered report is reproducible:
 centers c_i = i for the generic sample, with the last center replaced by
@@ -27,7 +29,9 @@ from .grid import (
     Family,
     Inconsistent,
     PeriodicStagger1D,
+    SolvabilityReport,
     Unique,
+    _shown,
     alternating_residual,
     centers_from_edges,
     checked_int,
@@ -43,23 +47,24 @@ class AuditRecord:
     ``checks`` maps check name to pass/fail; ``passed`` is their
     conjunction.  ``bottom_row``/``bottom_rhs`` are the last row of the
     echelon form of the c_i = i sample, kept as strings so the record
-    serializes without caring that they were exact rationals.
+    serializes without caring that they were exact rationals; the row ends in
+    the bottom pivot.  ``report`` is what the theory asserts for the size
+    (unknowns, parity, determinant, rank, outcome class), made on each read
+    from ``n_edges`` and never stored.
     """
 
     n_edges: int
-    n_unknowns: int
-    parity: str
-    outcome_class: str
-    determinant_theory: int
     determinant_oracle: int
-    rank_theory: int
     rank_oracle: int
-    bottom_pivot: str
     bottom_row: Tuple[str, ...]
     bottom_rhs: str
     zero_row: bool
     solve_summary: str
     checks: Dict[str, bool]
+
+    @property
+    def report(self) -> SolvabilityReport:
+        return solvability_report(self.n_edges)
 
     @property
     def passed(self) -> bool:
@@ -159,22 +164,10 @@ def _audit_one(n_edges: int) -> AuditRecord:
         solve_summary = ("family:" + ("agree" if family_agree else "disagree")
                          + ",inconsistent:" + ("agree" if incons_agree else "disagree"))
 
-    return AuditRecord(
-        n_edges=n_edges,
-        n_unknowns=m,
-        parity=report.parity,
-        outcome_class=report.outcome_class,
-        determinant_theory=report.determinant,
-        determinant_oracle=ech.determinant,
-        rank_theory=report.rank,
-        rank_oracle=ech.rank,
-        bottom_pivot=str(bottom[m - 1]),
-        bottom_row=tuple(str(v) for v in bottom),
-        bottom_rhs=str(ech.reduced_rhs[m - 1]),
-        zero_row=zero_row,
-        solve_summary=solve_summary,
-        checks=checks,
-    )
+    return AuditRecord(n_edges=n_edges, determinant_oracle=ech.determinant, rank_oracle=ech.rank,
+                       bottom_row=tuple(str(v) for v in bottom),
+                       bottom_rhs=str(ech.reduced_rhs[m - 1]), zero_row=zero_row,
+                       solve_summary=solve_summary, checks=checks)
 
 
 def build_audit_report(n_min: int, n_max: int) -> AuditReport:
@@ -185,13 +178,13 @@ def build_audit_report(n_min: int, n_max: int) -> AuditReport:
     """
     n_min, n_max = checked_int(n_min, "n_min"), checked_int(n_max, "n_max")
     if n_min < 3:
-        raise ValueError(f"n_min must be at least 3, got {n_min}")
+        raise ValueError(f"n_min must be at least 3, got {_shown(n_min)}")
     if n_max < n_min:
-        raise ValueError(f"n_max must be >= n_min, got {n_min}..{n_max}")
+        raise ValueError(f"n_max must be >= n_min, got {_shown(n_min)}..{_shown(n_max)}")
     if n_max > MAX_ORACLE_UNKNOWNS + 2:
         raise ValueError(
             f"n_max must be at most {MAX_ORACLE_UNKNOWNS + 2} "
-            f"(dense oracle cap), got {n_max}"
+            f"(dense oracle cap), got {_shown(n_max)}"
         )
     records = tuple(_audit_one(n) for n in range(n_min, n_max + 1))
     return AuditReport(n_min, n_max, records)
@@ -202,9 +195,9 @@ def render_text(report: AuditReport) -> str:
     lines = [f"solvability audit N={report.n_min}..{report.n_max}"]
     for r in report.records:
         lines.append(
-            f"N={r.n_edges} M={r.n_unknowns} parity={r.parity} "
+            f"N={r.n_edges} M={r.report.n_unknowns} parity={r.report.parity} "
             f"det={r.determinant_oracle} rank={r.rank_oracle} "
-            f"class={r.outcome_class} pivot={r.bottom_pivot} "
+            f"class={r.report.outcome_class} pivot={r.bottom_row[-1]} "
             f"zero_row={'yes' if r.zero_row else 'no'} "
             f"solve={r.solve_summary} "
             f"verdict={'PASS' if r.passed else 'FAIL'}"
@@ -226,12 +219,11 @@ def render_json(report: AuditReport) -> str:
         "records": [
             {
                 "n_edges": r.n_edges,
-                "n_unknowns": r.n_unknowns,
-                "parity": r.parity,
-                "outcome_class": r.outcome_class,
-                "determinant": {"theory": r.determinant_theory,
-                                "oracle": r.determinant_oracle},
-                "rank": {"theory": r.rank_theory, "oracle": r.rank_oracle},
+                "n_unknowns": r.report.n_unknowns,
+                "parity": r.report.parity,
+                "outcome_class": r.report.outcome_class,
+                "determinant": {"theory": r.report.determinant, "oracle": r.determinant_oracle},
+                "rank": {"theory": r.report.rank, "oracle": r.rank_oracle},
                 "bottom_row": list(r.bottom_row),
                 "bottom_rhs": r.bottom_rhs,
                 "zero_row": r.zero_row,

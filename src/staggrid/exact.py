@@ -33,6 +33,7 @@ from .grid import (
     SolveOutcome,
     Unique,
     _kernel_field,
+    _shown,
 )
 
 #: Ceiling on system size for the dense oracle.
@@ -74,7 +75,7 @@ class DenseSystem:
 
     def __post_init__(self) -> None:
         if self.m < 1:
-            raise ValueError(f"system needs at least one unknown, got m={self.m}")
+            raise ValueError(f"system needs at least one unknown, got m={_shown(self.m)}")
         if self.matrix != _cyclic_pattern(self.m):
             raise ValueError("matrix is not the cyclic center-to-edge pattern")
         if len(self.rhs) != self.m:

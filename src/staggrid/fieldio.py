@@ -37,6 +37,7 @@ from typing import Union
 import numpy as np
 
 from .errors import FieldFormatError
+from .grid import _shown
 from .ndfield import FieldND
 
 _MAGIC = "staggrid-field 1"
@@ -302,6 +303,6 @@ def _header(path, lines):
     if count != expected:
         raise FieldFormatError(
             f"field file {path}: count {count} does not match shape "
-            f"{'x'.join(str(n) for n in shape)} = {expected}"
+            f"{'x'.join(str(n) for n in shape)} = {_shown(expected)}"
         )
     return shape, fields["staggered-axis"], count

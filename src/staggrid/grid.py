@@ -25,8 +25,9 @@ e_1 / 2 would round, the pass takes (-1)^(k-1) (e_1 - 2 P_k) instead):
 * the even-N member pinned at e_k = v: e_1 = 2 P_k + (-1)^(k-1) v, and e_k
   then stored as v itself, which the pass would miss by one rounding.
 
-The 1-D and N-D APIs make these choices in one place, :func:`_first_edges`,
-and a :class:`Family` keeps P for them, so a line gets the same edges from
+The 1-D and N-D APIs complete every even-N line in one place,
+:func:`_complete`, which makes the choice, runs the pass and stores a pinned
+edge, and a :class:`Family` keeps P for it, so a line gets the same edges from
 either API.
 
 S is summed pairwise as adjacent differences, (c_2 - c_1) + (c_4 - c_3) +
@@ -85,6 +86,7 @@ import itertools
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Union
@@ -103,14 +105,25 @@ OUTCOME_ALWAYS_UNIQUE = "always-unique"
 OUTCOME_CONSISTENT_DEPENDENT = "consistent-dependent"
 
 
+def _shown(value, form=str) -> str:
+    """``form(value)`` for a message, or, where an integer in ``value`` has more
+    digits than ``form`` makes (``sys.get_int_max_str_digits()``), the sign, type
+    and that size of ``value``: a message shows every number without raising."""
+    try:
+        return form(value)
+    except ValueError:
+        sign = "negative " if isinstance(value, numbers.Real) and value < 0 else ""
+        return f"<{sign}{type(value).__name__} of more than {sys.get_int_max_str_digits()} digits>"
+
+
 def checked_int(value, name: str) -> int:
     """``value`` as a Python int: any integer type but bool, else ValueError."""
-    if isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an int, got {value!r}") from None
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an int, got {_shown(value, repr)}")
 
 
 @dataclass(frozen=True)
@@ -126,7 +139,7 @@ class PeriodicStagger1D:
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_edges", checked_int(self.n_edges, "n_edges"))
         if self.n_edges < 3:
-            raise ValueError(f"n_edges must be at least 3, got {self.n_edges}")
+            raise ValueError(f"n_edges must be at least 3, got {_shown(self.n_edges)}")
 
     @property
     def n_unknowns(self) -> int:
@@ -175,7 +188,8 @@ def _as_numbers(values) -> np.ndarray:
 
 def checked_floats(values) -> np.ndarray:
     """``values`` as a new float64 array of integers or floats, each finite and
-    held exactly (the rule of :func:`_finite_number`), else ValueError."""
+    held exactly (the rule of :func:`_finite_number`, which words the fault of a
+    value float64 does not hold), else ValueError."""
     raw = _as_numbers(values)
     if raw.dtype.kind not in "iuf":
         raise ValueError(f"values must be real numbers, got dtype {raw.dtype}")
@@ -185,8 +199,8 @@ def checked_floats(values) -> np.ndarray:
         # integers up to 2^53 in magnitude convert exactly; compare the rest as ints
         big = np.flatnonzero(np.abs(arr) >= 2.0**53)
         for k, v, f in zip(big.tolist(), raw.flat[big].tolist(), arr.flat[big].tolist()):
-            if int(f) != v:
-                raise ValueError(f"value at flat index {k} has no exact float64 value: {v}")
+            if int(f) != v:   # float64 does not hold v, so this raises
+                _finite_number(v, False, f"value at flat index {k}")
         return arr
     finite = np.isfinite(raw)
     if not finite.all():
@@ -194,9 +208,9 @@ def checked_floats(values) -> np.ndarray:
         raise ValueError(f"non-finite value at flat index {k}: {raw.flat[k]!s}")
     if np.finfo(raw.dtype).nmant > 52:   # a long double: compared at its own width
         rounded = np.flatnonzero(arr != raw)
-        if rounded.size:
+        if rounded.size:   # float64 does not hold the value, so this raises
             k = int(rounded[0])
-            raise ValueError(f"value at flat index {k} has no exact float64 value: {raw.flat[k]!s}")
+            _finite_number(raw.flat[k], False, f"value at flat index {k}")
     return arr
 
 
@@ -272,8 +286,8 @@ class Family:
     direction is the checkerboard vector (+1, -1, ...), which averages to
     zero at every center.  The family keeps the line's partial sums P, and
     each completion (:meth:`member`, :meth:`pinned`, :func:`complete_min_norm`)
-    is a choice of e_1 and one telescope from P into a new buffer, as in
-    :func:`complete_lines`, so it gives the gate's edges.  The particular p,
+    is :func:`_complete` of P into a new buffer, which :func:`complete_lines`
+    runs over P, so it gives the gate's edges.  The particular p,
     the member at t = 0 (e_1 = 0), and the null direction (float64, or Python
     ints in exact mode) are built on first read, unless given, as the dense
     oracle gives them.  Reading a particular that overflows float64 raises
@@ -308,11 +322,8 @@ class Family:
         return self._completed("pin", pin_index, pin_value)
 
     def _completed(self, choice, *args) -> EdgeField1D:
-        partial = self._partial
-        edges = _telescope(_first_edges(partial, choice, *args), partial, np.empty_like(partial))
-        if choice == "pin":   # v itself: the telescope gives 2 ((P_k + v/2) - P_k)
-            edges[args[0] - 1] = _finite_number(args[1], partial.dtype == object, "pin value")
-        return _kernel_field(EdgeField1D, grid=self.grid, values=edges)
+        return _kernel_field(EdgeField1D, grid=self.grid,
+                             values=_complete(self._partial, choice, *args, keep=True))
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,7 +371,7 @@ def solvability_report(n_edges: int) -> SolvabilityReport:
 # -- the line kernel: along the last axis, one line per leading index ---------
 
 
-_OVERFLOW = "{} overflow float64: the input is too large in magnitude"
+_OVERFLOW = "{} float64: the input is too large in magnitude"
 
 
 def alternating_sums(c: np.ndarray):
@@ -480,15 +491,16 @@ def _telescope(first, partial: np.ndarray, out=None) -> np.ndarray:
                 out[rounded] = unhalved
             np.negative(out[..., 1::2], out=out[..., 1::2])
     except FloatingPointError:
-        raise ValueError(_OVERFLOW.format("edge values")) from None
+        raise ValueError(_OVERFLOW.format("edge values overflow")) from None
     if not np.all(np.abs(out[..., -1]) < np.inf):
-        raise ValueError(_OVERFLOW.format("edge values"))
+        raise ValueError(_OVERFLOW.format("edge values overflow"))
     return out
 
 
-def _first_edges(partial: np.ndarray, choice: str, *args):
-    """e_1 of every line of an even-N completion, for :func:`_telescope` to run
-    from the partial sums P, by ``choice``:
+def _complete(partial: np.ndarray, choice: str, *args, keep: bool = False) -> np.ndarray:
+    """Edges of every line of an even-N completion from its partial sums P: e_1
+    by ``choice``, then :func:`_telescope`, over P or, with ``keep``, into a new
+    buffer, made only once e_1 exists:
 
     * "t", t: the member p + t (+1, -1, ...) of the particular p, e_1 = t;
     * "min-norm": the member orthogonal to (+1, -1, ...), e_1 = 2 mean(P), the
@@ -496,49 +508,55 @@ def _first_edges(partial: np.ndarray, choice: str, *args):
       alone (:func:`_pair_total`), so that e_1 overflows only where it does;
     * "pin", k, v: the member with e_k = v, e_1 = 2 P_k + (-1)^(k-1) v, taken as
       2 (P_k + (-1)^(k-1) v / 2) where halving v is exact, so that 2 P_k
-      cannot overflow on its own; ValueError unless k is an int in 1..M and v a
-      finite number.
+      cannot overflow on its own; e_k is then stored as v itself, which the
+      telescope, 2 ((P_k + v / 2) - P_k), would miss by one rounding.
+      ValueError unless k is an int in 1..M and v a finite number.
 
     An e_1 that overflows float64 is left for :func:`_telescope` to refuse."""
     exact = partial.dtype == object
-    if choice == "t":
-        return _finite_number(args[0], exact, "t")
     m = partial.shape[-1]
-    if choice == "min-norm":
+    if choice == "t":
+        first = _finite_number(args[0], exact, "t")
+    elif choice == "min-norm":
         with np.errstate(over="ignore", invalid="ignore"):  # the retry is finite if P is
-            return _pair_total(np.add, partial, m // 2)
-    k = checked_int(args[0], "pin index")
-    if not 1 <= k <= m:
-        raise ValueError(f"pin index must be in 1..{m}, got {k}")
-    sign = 1 if k % 2 else -1
-    v = _finite_number(args[1], exact, "pin value")
-    with np.errstate(over="ignore"):
-        if v / 2 * 2 == v:
-            return 2 * (partial[..., k - 1] + sign * v / 2)
-        return 2 * partial[..., k - 1] + sign * v
+            first = _pair_total(np.add, partial, m // 2)
+    else:
+        k = checked_int(args[0], "pin index")
+        if not 1 <= k <= m:
+            raise ValueError(f"pin index must be in 1..{m}, got {_shown(k)}")
+        sign = 1 if k % 2 else -1
+        v = _finite_number(args[1], exact, "pin value")
+        with np.errstate(over="ignore"):
+            first = (2 * (partial[..., k - 1] + sign * v / 2) if v / 2 * 2 == v
+                     else 2 * partial[..., k - 1] + sign * v)
+    edges = _telescope(first, partial, np.empty_like(partial) if keep else None)
+    if choice == "pin":
+        edges[..., k - 1] = v
+    return edges
 
 
 def _finite_number(value, exact: bool, name: str):
-    """``value``, any real number but a bool, as a Fraction in exact mode, else
-    as a finite float equal to it (an integer, a Fraction or a numpy float, a
-    long double too, is taken whole and compared exactly, so one that float64
-    cannot hold is refused, not rounded); else ValueError."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        whole = isinstance(value, (numbers.Rational, np.floating))
-        try:
-            num = int(value) if isinstance(value, numbers.Integral) else value
-            if exact or isinstance(value, np.floating):
-                from fractions import Fraction
+    """``value``, any finite real number but a bool, as a Fraction in exact mode,
+    else as the float equal to it (an integer, a Fraction or a numpy float, a long
+    double too, is taken whole and compared exactly, so one that float64 cannot
+    hold is refused, not rounded).  Else ValueError: "{name} has no exact float64
+    value" for a finite real number, "{name} must be a finite real number" for
+    anything else."""
+    fault = "must be a finite real number, got"
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and -math.inf < value < math.inf):
+        num = int(value) if isinstance(value, numbers.Integral) else value
+        if exact or isinstance(value, np.floating):
+            from fractions import Fraction
 
-                num = (Fraction(*value.as_integer_ratio()) if isinstance(value, np.floating)
-                       else Fraction(num))
-            out = num if exact else float(num)
-            if exact or (math.isfinite(out) and (not whole or out == num)):
-                return out
-        except (ValueError, OverflowError):
-            pass
-    shown = value if isinstance(value, np.generic) else repr(value)   # nan, not np.float64(nan)
-    raise ValueError(f"{name} must be a finite real number, got {shown!s}")
+            num = (Fraction(*value.as_integer_ratio()) if isinstance(value, np.floating)
+                   else Fraction(num))
+        if exact or abs(num) <= sys.float_info.max and float(num) == num:
+            return num if exact else float(num)
+        fault = "has no exact float64 value:"
+    # a numpy scalar as str shows it: nan, not np.float64(nan)
+    shown = _shown(value, str if isinstance(value, np.generic) else repr)
+    raise ValueError(f"{name} {fault} {shown}")
 
 
 #: The row path (one row op per position across all lines) takes at least
@@ -621,13 +639,13 @@ def complete_lines(c: np.ndarray, strategy: str, tolerance: float = DEFAULT_TOLE
     """``(edges, residual)`` of every line of ``c``: edges completed by
     ``strategy``, and 2 S per line, or None for odd N = M + 2.
 
-    The strategy gate for the 1-D and N-D APIs alike.  Each strategy picks e_1
-    per line, then :func:`_telescope` runs over P: "unique" (odd N) e_1 = S,
-    "min-norm" and "pin" (even N, and only "pin" takes pin_index = k and
-    pin_value = v) as :func:`_first_edges` picks them; else ParityError.  The
-    first line in C order that :func:`solve_lines` finds inconsistent raises
-    InconsistentDataError, with its residual and its index in ``line_coords`` (a
-    1-D ``c`` is line (0,)).  Edges that overflow float64, and only they, raise
+    The strategy gate for the 1-D and N-D APIs alike.  "unique" (odd N) takes
+    e_1 = S and runs :func:`_telescope` over P; "min-norm" and "pin" (even N, and
+    only "pin" takes pin_index = k and pin_value = v) are completed over P by
+    :func:`_complete`; else ParityError.  The first line in C order that
+    :func:`solve_lines` finds inconsistent raises InconsistentDataError, with its
+    residual and its index in ``line_coords`` (a 1-D ``c`` is line (0,)), before
+    any line is completed.  Edges that overflow float64, and only they, raise
     ValueError.
     """
     if strategy not in STRATEGIES:
@@ -644,22 +662,20 @@ def complete_lines(c: np.ndarray, strategy: str, tolerance: float = DEFAULT_TOLE
     elif pin_index is not None or pin_value is not None:
         raise ValueError(f"pin_index/pin_value only apply to strategy 'pin', not {strategy!r}")
 
-    partial, first, residual, consistent = solve_lines(c, tolerance)
-    if not odd:
-        if not np.all(consistent):
-            line = int(np.flatnonzero(np.logical_not(consistent))[0])
-            coords = tuple(int(x) for x in np.unravel_index(line, np.shape(residual) or (1,)))
-            bad = np.ravel(residual)[line:line + 1].tolist()[0]   # a float, or a Fraction
-            # the tolerance as the float solve_lines took: before 3.12 a Fraction has no "g"
-            raise InconsistentDataError(
-                f"line {coords} admits no edge solution "
-                f"(residual {bad}, tolerance {float(tolerance):g})",
-                residual=bad, line_coords=coords)
-        first = _first_edges(partial, strategy, pin_index, pin_value)
-    edges = _telescope(first, partial)
-    if strategy == "pin":   # v itself: the telescope gives 2 ((P_k + v/2) - P_k)
-        edges[..., pin_index - 1] = _finite_number(pin_value, c.dtype == object, "pin value")
-    return edges, residual
+    partial, s, residual, consistent = solve_lines(c, tolerance)
+    if odd:
+        return _telescope(s, partial), residual
+    del s   # one value per line, not held through the completion
+    if not np.all(consistent):
+        line = int(np.flatnonzero(np.logical_not(consistent))[0])
+        coords = tuple(int(x) for x in np.unravel_index(line, np.shape(residual) or (1,)))
+        bad = np.ravel(residual)[line:line + 1].tolist()[0]   # a float, or a Fraction
+        # the tolerance as the float solve_lines took: before 3.12 a Fraction has no "g"
+        raise InconsistentDataError(
+            f"line {coords} admits no edge solution "
+            f"(residual {_shown(bad)}, tolerance {float(tolerance):g})",
+            residual=bad, line_coords=coords)
+    return _complete(partial, strategy, pin_index, pin_value), residual
 
 
 def _neighbour_sums(x: np.ndarray) -> np.ndarray:
@@ -726,7 +742,7 @@ def alternating_residual(centers: CenterField1D):
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         s = alternating_sums(centers.values)
     if not abs(s) < math.inf:
-        raise ValueError(_OVERFLOW.format("the alternating sum"))
+        raise ValueError(_OVERFLOW.format("the alternating sum overflows"))
     return np.asarray(s).item()
 
 
@@ -751,7 +767,7 @@ def edges_from_centers(centers: CenterField1D,
     if not consistent:
         return Inconsistent(np.asarray(residual).item())
     if not abs(partial[-1]) < math.inf:
-        raise ValueError(_OVERFLOW.format("edge values"))
+        raise ValueError(_OVERFLOW.format("edge values overflow"))
     return _kernel_field(Family, grid=grid, _partial=partial)
 
 
@@ -760,7 +776,7 @@ def complete_min_norm(outcome: SolveOutcome) -> EdgeField1D:
 
     That member is orthogonal to the null direction, at t* = -<particular,
     null> / M; it is one telescope from the family's partial sums (see
-    :func:`_first_edges`).  Raises unless the outcome actually has a free
+    :func:`_complete`).  Raises unless the outcome actually has a free
     parameter, and ValueError only when that member overflows float64.
     """
     if isinstance(outcome, Unique):
@@ -770,7 +786,7 @@ def complete_min_norm(outcome: SolveOutcome) -> EdgeField1D:
     if isinstance(outcome, Inconsistent):
         raise InconsistentDataError(
             f"minimum-norm completion impossible: no solution exists "
-            f"(residual {outcome.residual})",
+            f"(residual {_shown(outcome.residual)})",
             residual=outcome.residual, line_coords=(0,),
         )
     return outcome._completed("min-norm")

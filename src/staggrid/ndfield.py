@@ -23,6 +23,7 @@ from .grid import (
     DEFAULT_TOLERANCE,
     PeriodicStagger1D,
     _kernel_field,
+    _shown,
     average_lines,
     checked_floats,
     checked_int,
@@ -34,7 +35,7 @@ def _checked_axis(axis, ndim: int, name: str = "axis") -> int:
     """``axis`` as an int in 0..ndim-1, else ValueError."""
     axis = checked_int(axis, name)
     if not 0 <= axis < ndim:
-        raise ValueError(f"{name} {axis} out of range for {ndim}-dimensional field")
+        raise ValueError(f"{name} {_shown(axis)} out of range for {ndim}-dimensional field")
     return axis
 
 
@@ -113,8 +114,8 @@ def to_edges_along(field: FieldND, axis: int, n_edges: int, strategy: str,
     m = grid.n_unknowns
     if field.values.shape[axis] != m:
         raise ValueError(
-            f"axis {axis} has extent {field.values.shape[axis]} but n_edges={n_edges} "
-            f"implies {m} centers"
+            f"axis {axis} has extent {field.values.shape[axis]} but n_edges={_shown(n_edges)} "
+            f"implies {_shown(m)} centers"
         )
     edges, residual = complete_lines(np.moveaxis(field.values, axis, -1), strategy,
                                      tolerance, pin_index, pin_value)

@@ -68,6 +68,10 @@ class TestBuildSystem:
         with pytest.raises(ValueError):
             DenseSystem(1, ((2,),), (1,))
 
+    def test_validation_rejects_an_empty_system(self):
+        with pytest.raises(ValueError, match="^system needs at least one unknown, got m=0$"):
+            DenseSystem(0, (), ())
+
 
 class TestDeterminant:
     @pytest.mark.parametrize("m", range(1, 15))
@@ -239,3 +243,33 @@ class TestAudit:
         assert [r.n_edges for r in failed] == [3, 5, 7, 9, 11, 13, 15]
         assert all(r.solve_summary == "unique:disagree" for r in failed)
         assert not any(r.checks["solve_unique"] for r in failed)
+
+    @pytest.mark.parametrize("mutant, check", [("family off at one edge", "solve_family"),
+                                               ("residual off by one", "solve_inconsistent")])
+    def test_a_wrong_even_kernel_fails_the_even_sizes(self, monkeypatch, mutant, check):
+        # the even verdicts can fail too: _agree rejects a family or a residual
+        real = audit.edges_from_centers
+
+        def wrong(centers):   # its particular one off at the last edge, or its residual
+            out = real(centers)
+            if mutant == "family off at one edge" and isinstance(out, Family):
+                out.particular.values[-1] += 1
+            if mutant == "residual off by one" and isinstance(out, Inconsistent):
+                return Inconsistent(out.residual + 1)
+            return out
+
+        monkeypatch.setattr(audit, "edges_from_centers", wrong)
+        report = audit.build_audit_report(3, 15)   # a disagreement, never an exception
+        assert not report.overall_pass
+        failed = [r for r in report.records if not r.passed]
+        assert [r.n_edges for r in failed] == [4, 6, 8, 10, 12, 14]
+        for r in failed:
+            assert [name for name, ok in r.checks.items() if not ok] == [check]
+
+    @pytest.mark.parametrize("n_min, n_max, message", [
+        (2, 5, "^n_min must be at least 3, got 2$"),
+        (5, 4, r"^n_max must be >= n_min, got 5\.\.4$"),
+    ])
+    def test_a_range_out_of_bounds_is_refused(self, n_min, n_max, message):
+        with pytest.raises(ValueError, match=message):
+            audit.build_audit_report(n_min, n_max)

@@ -381,6 +381,14 @@ class TestReadErrors:
         with pytest.raises(FieldFormatError):
             read_field(p)
 
+    def test_a_shape_whose_size_is_too_long_for_str(self, tmp_path):
+        # each extent converts, but their product has more digits than str() makes
+        big = "9" * 4000
+        p = write_lines(tmp_path, ["staggrid-field 1", "ndim 3", f"shape {big} {big} {big}",
+                                   "staggered-axis none", "count 1", "1.0"])
+        with pytest.raises(FieldFormatError, match=r": count 1 does not match shape 9+x9+x9+ = "):
+            read_field(p)
+
     def test_wrong_value_count(self, tmp_path):
         p = write_lines(tmp_path, ["staggrid-field 1", "ndim 1", "shape 3",
                                    "staggered-axis none", "count 3", "1.0", "2.0"])

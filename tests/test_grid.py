@@ -1,6 +1,7 @@
 """Unit and property tests for the 1-D grid types and transforms."""
 
 import math
+import numbers
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from staggrid import grid as kernel
-from staggrid.exact import build_system, solve_dense
+from staggrid.audit import build_audit_report
+from staggrid.exact import DenseSystem, build_system, solve_dense
 from staggrid import (
     CenterField1D,
     EdgeField1D,
@@ -117,7 +119,8 @@ class TestFields:
         (lambda c: complete_pinned(c, 1, np.float64("nan")), "pin value ... got nan"),
         (lambda c: edges_from_centers(c).member(np.float32("inf")), "t ... got inf"),
         (lambda c: edges_from_centers(c, np.float64("-inf")), "tolerance ... got -inf"),
-        (lambda c: edges_from_centers(c).member(np.longdouble("1e400")), "t ... got 1e+400"),
+        (lambda c: edges_from_centers(c).member(np.longdouble("1e400")),
+         "t has no exact float64 value: 1e+400"),
     ])
     def test_numpy_scalars_are_named_plainly(self, call, shown):
         c = CenterField1D(PeriodicStagger1D(4), [0.0, 0.0])
@@ -225,7 +228,8 @@ class TestFields:
         cf = CenterField1D(g, [2**64, 0, 0])
         assert not cf.exact and cf.values.dtype == np.float64
         assert cf.values.tolist() == [2.0**64, 0.0, 0.0]
-        with pytest.raises(ValueError, match="^value at index 0 must be a finite real number"):
+        with pytest.raises(ValueError,
+                           match="^value at index 0 has no exact float64 value: 18446744073709551617$"):
             CenterField1D(g, [2**64 + 1, 0, 0])
 
     def test_exact_mode_holds_large_integers_exactly(self):
@@ -241,10 +245,10 @@ class TestFields:
             FieldND(np.array([[0.5, 1.5], [2.0, x]]))
         with pytest.raises(ValueError, match="flat index 1 has no exact float64 value"):
             CenterField1D(PeriodicStagger1D(4), np.array([0.5, x]))
-        with pytest.raises(ValueError, match="value at index 1 must be"):
+        with pytest.raises(ValueError, match="value at index 1 has no exact float64 value"):
             CenterField1D(PeriodicStagger1D(4), np.array([0.5, x], dtype=object))
         family = edges_from_centers(CenterField1D(PeriodicStagger1D(4), [0.0, 0.0]))
-        with pytest.raises(ValueError, match="t must be"):
+        with pytest.raises(ValueError, match="t has no exact float64 value"):
             family.member(x)
         # exact mode takes the long double's own ratio, not its float64 rounding
         exact = Fraction(*x.as_integer_ratio())
@@ -321,7 +325,7 @@ class TestAlternatingResidual:
         c = CenterField1D(PeriodicStagger1D(6), [1.7e308, -1.7e308, 1.7e308, -1.7e308])
         with warnings.catch_warnings():
             warnings.simplefilter("error")   # no numpy warning on the way
-            with pytest.raises(ValueError, match="alternating sum overflow float64"):
+            with pytest.raises(ValueError, match="alternating sum overflows float64"):
                 alternating_residual(c)
 
     def test_differences_that_overflow_where_the_sum_fits(self):
@@ -634,11 +638,14 @@ class TestCompletions:
             edges_from_centers(c, tolerance="1e-3")
         family = edges_from_centers(c)
         for bad in ("1.5", b"1", True, np.True_, 2**53 + 1, np.int64(2**53 + 1)):
-            with pytest.raises(ValueError, match="^t must be a finite real number"):
+            # a number float64 does not hold is named as such; anything else is no number
+            fault = ("has no exact float64 value: 9007199254740993" if type(bad) in (int, np.int64)
+                     else "must be a finite real number")
+            with pytest.raises(ValueError, match=f"^t {fault}"):
                 family.member(bad)
-            with pytest.raises(ValueError, match="^pin value must be a finite real number"):
+            with pytest.raises(ValueError, match=f"^pin value {fault}"):
                 family.pinned(1, bad)
-            with pytest.raises(ValueError, match="^pin value must be a finite real number"):
+            with pytest.raises(ValueError, match=f"^pin value {fault}"):
                 complete_pinned(c, 1, bad)
         assert family.member(2**53).values[0] == 2.0**53
 
@@ -647,8 +654,8 @@ class TestCompletions:
         family = edges_from_centers(c)
         for name, complete in (("t", family.member), ("pin value", lambda x: family.pinned(1, x)),
                                ("pin value", lambda x: complete_pinned(c, 1, x))):
-            with pytest.raises(ValueError, match=rf"^{name} must be a finite real number, "
-                                                 r"got Fraction\(1, 3\)"):
+            with pytest.raises(ValueError, match=rf"^{name} has no exact float64 value: "
+                                                 r"Fraction\(1, 3\)$"):
                 complete(Fraction(1, 3))
             assert complete(Fraction(1, 2)).values.tolist() == [0.5, -0.5]
 
@@ -661,6 +668,26 @@ class TestCompletions:
                          lambda: to_edges_along(FieldND(c.values), 0, 4, "pin",
                                                 pin_index=1, pin_value=5e-324)[0]):
             assert complete().values.tolist() == [5e-324, -5e-324]
+
+    def test_a_pin_value_is_taken_once_per_completion(self, monkeypatch):
+        # picked with e_1 and stored at e_k from that one check, on every path
+        c = CenterField1D(PeriodicStagger1D(6), [1.0, 2.0, 3.0, 2.0])
+        family, field = edges_from_centers(c), FieldND(np.stack([c.values] * 3))
+        names, real = [], kernel._finite_number
+
+        def counted(value, exact, name):
+            names.append(name)
+            return real(value, exact, name)
+
+        monkeypatch.setattr(kernel, "_finite_number", counted)
+        for complete, checked in (
+                (lambda: family.pinned(2, 2.0), ["pin value"]),
+                (lambda: complete_pinned(c, 2, 2.0), ["tolerance", "pin value"]),
+                (lambda: to_edges_along(field, 1, 6, "pin", pin_index=2, pin_value=2.0)[0],
+                 ["tolerance", "pin value"])):
+            names.clear()
+            assert complete().values.reshape(-1, 4)[0].tolist() == [0.0, 2.0, 2.0, 4.0]
+            assert names == checked
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_family_parameters_may_be_numpy_floats(self, exact):
@@ -1149,15 +1176,68 @@ NUMBER_PROBES = [True, False, np.True_, np.False_, 0, 1, -7, 2**53, -2**53, 2**5
 def test_one_number_rule_for_scalars_and_arrays(x):
     """A float-mode family parameter is taken exactly when a field entry is."""
     family = edges_from_centers(CenterField1D(PeriodicStagger1D(4), [0.0, 0.0]))
-    results = []
+    results, faults = [], []
     for build in (lambda: family.member(x).values[0], lambda: FieldND(np.array([x])).values[0]):
         try:
             results.append(float(build()))
-        except ValueError:
+        except ValueError as exc:
             results.append(None)
+            faults.append(str(exc))
     assert results[0] == results[1]
     if results[0] is not None:   # compared exactly: an int as an int, not as a float
         assert int(results[0]) == x if isinstance(x, (int, np.integer)) else results[0] == x
+    elif isinstance(x, numbers.Real) and not isinstance(x, bool) and -math.inf < x < math.inf:
+        # a finite number that both refuse is refused in the same words
+        assert faults[0].removeprefix("t ") == faults[1].removeprefix("value at flat index 0 ")
+
+
+#: An integer with more digits than str() makes of one, by default (4300).
+HUGE = 10**5000
+
+
+def huge_inconsistent_line():
+    """An exact even line whose residual, -2 * 10^5000, is too long for str()."""
+    return CenterField1D(PeriodicStagger1D(4), [Fraction(HUGE), Fraction(0)])
+
+
+def zero_line():
+    return CenterField1D(PeriodicStagger1D(4), [0.0, 0.0])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: complete_pinned(huge_inconsistent_line(), 1, 0), InconsistentDataError,
+     r"^line \(0,\) admits no edge solution \(residual .*, tolerance 1e-10\)$"),
+    (lambda: complete_min_norm(edges_from_centers(huge_inconsistent_line())),
+     InconsistentDataError,
+     r"^minimum-norm completion impossible: no solution exists \(residual .*\)$"),
+    (lambda: edges_from_centers(zero_line(), HUGE), ValueError,
+     "^tolerance has no exact float64 value: "),
+    (lambda: edges_from_centers(zero_line()).member(HUGE), ValueError,
+     "^t has no exact float64 value: "),
+    (lambda: CenterField1D(PeriodicStagger1D(5), [HUGE, 0, 0]), ValueError,
+     "^value at index 0 has no exact float64 value: "),
+    (lambda: PeriodicStagger1D(-HUGE), ValueError, "^n_edges must be at least 3, got "),
+    (lambda: PeriodicStagger1D([HUGE]), ValueError, "^n_edges must be an int, got "),
+    (lambda: complete_pinned(zero_line(), HUGE, 0.0), ValueError,
+     r"^pin index must be in 1\.\.2, got "),
+    (lambda: FieldND([1.0, 2.0], staggered_axis=HUGE), ValueError,
+     "^staggered_axis .* out of range for 1-dimensional field$"),
+    (lambda: to_edges_along(FieldND([1.0, 2.0]), 0, HUGE, "unique"), ValueError,
+     "^axis 0 has extent 2 but n_edges=.* implies .* centers$"),
+    (lambda: build_audit_report(-HUGE, 5), ValueError, "^n_min must be at least 3, got "),
+    (lambda: build_audit_report(3, HUGE), ValueError,
+     r"^n_max must be at most 66 \(dense oracle cap\), got "),
+    (lambda: DenseSystem(-HUGE, (), ()), ValueError,
+     "^system needs at least one unknown, got m="),
+], ids=["complete_pinned residual", "complete_min_norm residual", "tolerance", "t",
+        "field entry", "n_edges", "n_edges not an int", "pin index", "staggered_axis",
+        "to_edges_along n_edges", "audit n_min", "audit n_max", "dense system size"])
+def test_numbers_too_long_for_str_are_shown_in_the_librarys_words(call, error, message):
+    """A message shows an integer with more digits than str() makes, or a Fraction
+    of one, by its size: the documented error, not Python's refusal to print it."""
+    with pytest.raises(error, match=message) as info:
+        call()
+    assert "Exceeds the limit" not in str(info.value)
 
 
 @st.composite
