@@ -38,6 +38,7 @@ from .grid import (
 
 #: Ceiling on system size for the dense oracle.
 MAX_ORACLE_UNKNOWNS = 64
+_CAPPED = f"dense oracle capped at {MAX_ORACLE_UNKNOWNS} unknowns; got m={{}}"
 
 _Matrix = Tuple[Tuple[int, ...], ...]
 _FracRow = Tuple[Fraction, ...]
@@ -66,7 +67,8 @@ class DenseSystem:
     ``matrix`` is the integer coefficient pattern; ``rhs`` holds the exact
     values 2 c_i.  Construction validates that the matrix really is the
     cyclic pattern for its size, so a DenseSystem cannot describe any other
-    linear system.
+    linear system; it checks m against ``MAX_ORACLE_UNKNOWNS`` and the length
+    of ``rhs`` first, so the M x M pattern it compares with is never large.
     """
 
     m: int
@@ -76,12 +78,14 @@ class DenseSystem:
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError(f"system needs at least one unknown, got m={_shown(self.m)}")
-        if self.matrix != _cyclic_pattern(self.m):
-            raise ValueError("matrix is not the cyclic center-to-edge pattern")
+        if self.m > MAX_ORACLE_UNKNOWNS:
+            raise ValueError(_CAPPED.format(_shown(self.m)))
         if len(self.rhs) != self.m:
             raise ValueError(
                 f"rhs length {len(self.rhs)} does not match m={self.m}"
             )
+        if self.matrix != _cyclic_pattern(self.m):   # built only for a small m that rhs matches
+            raise ValueError("matrix is not the cyclic center-to-edge pattern")
         if not all(isinstance(v, Fraction) for v in self.rhs):
             raise ValueError("rhs entries must be Fractions")
 
@@ -110,10 +114,8 @@ class EchelonResult:
 def build_system(centers: CenterField1D) -> DenseSystem:
     """Materialize the dense system A e = 2 c for a center field."""
     m = centers.grid.n_unknowns
-    if m > MAX_ORACLE_UNKNOWNS:
-        raise ValueError(
-            f"dense oracle capped at {MAX_ORACLE_UNKNOWNS} unknowns; got m={m}"
-        )
+    if m > MAX_ORACLE_UNKNOWNS:   # before the M values of b are made
+        raise ValueError(_CAPPED.format(m))
     rhs = tuple(2 * Fraction(v) for v in centers.values)
     return DenseSystem(m, _cyclic_pattern(m), rhs)
 

@@ -37,14 +37,24 @@ applied in place, by negating or doubling alternate slots of the one output
 buffer; no sign array is built.  Negation and doubling are exact, so this
 gives bit for bit what a multiply by the checkerboard would.
 
-P is a running sum, built in one of two orders of memory.  Usually
-``np.cumsum`` runs along each line.  On the row path (at least
-``_ROWWISE_MIN_LINES`` lines of at most ``_ROWWISE_MAX_LENGTH`` values, read
-from the shape) numpy's one inner loop per line costs more than the
-arithmetic, so P is laid out position-outermost and built with one vector add
-per position across all lines.  Both add P_{k-1} + (-1)^(k-2) c_{k-1} in
-sequence, so P has the same bits either way; before that, P holds
-+-c_1..+-c_{M-1}, which give max|c|.  S and the min-norm mean are pairwise
+P is built pair-first: the odd-indexed sums are a running sum of the pair
+differences, P_{2t+1} = P_{2t-1} + (c_{2t-1} - c_{2t}), and each even-indexed
+one is one add, P_{2t+2} = P_{2t+1} + c_{2t+1}.  So the running sum has M / 2
+terms, not M - 1, and a common offset of the centers cancels in each difference
+before anything accumulates, as it does for S.  It is built in one of two
+orders of memory.  Usually ``np.cumsum`` runs over the odd-indexed slots of each
+line, between one strided subtract and one strided add.  On the row path (at
+least ``_ROWWISE_MIN_LINES`` lines of at most ``_ROWWISE_MAX_LENGTH`` values,
+read from the shape) numpy's one inner loop per line costs more than the
+arithmetic, so P is laid out position-outermost and built with one row
+subtract and one add onto the next two rows per pair of positions, across all
+lines.  Both make the same sums in the same order, so P has the same bits
+either way; before that, P holds c_1..c_{M-1}, which give max|c|.  A pair
+difference can overflow where P fits (c_{2t-1} = -1e308 and c_{2t} = 1e308
+after P_{2t-1} = 1.5e308), and an even-indexed P_k can overflow where no later
+one does; only when the FP overflow flag says so is a line with some P_k not
+finite built again by the alternating scan, P_k = P_{k-1} + (-1)^k c_{k-1} in
+sequence, whose bits P then has.  S and the min-norm mean are pairwise
 sums, as np.sum gives them for a line alone: of the differences of c, and of
 the pair sums P_{2j-1} + P_{2j}, float or Fraction alike, by one of two paths.
 On the row path they are row adds in numpy's pairwise order.  Off it, a sum is
@@ -57,9 +67,9 @@ edge, and :class:`Family` builds its particular and null direction on first
 read.  Overflow of the edges and of neighbour sums of edges is read from the
 FP overflow flag (IEEE 754-2008 section 7), with no pass over the output; a
 non-finite e_1 or P shows in the last edge, checked once per line (P is
-finite exactly when P_M is, as every c is).  A line's result depends on that
-line alone, whatever lines share its batch: a line whose S or min-norm sum is
-not finite is summed again alone on a power-of-two prescale
+finite exactly when P_M is: see :func:`_telescope`).  A line's result depends
+on that line alone, whatever lines share its batch: a line whose S or min-norm
+sum is not finite is summed again alone on a power-of-two prescale
 (:func:`_pair_total`), and only a neighbour sum of edges that overflows takes
 the halves.
 
@@ -473,8 +483,13 @@ def _telescope(first, partial: np.ndarray, out=None) -> np.ndarray:
     ValueError if an edge overflows float64, read from the FP flag, with no pass
     over the edges: where e_1 and P are finite, only overflow makes an edge
     infinite.  A non-finite e_1 or P shows in the last edge, checked once per
-    line: P_k = P_{k-1} +- c_{k-1} with every c finite, so P is finite exactly
-    when P_M is.  The check is |e| < inf, which every Fraction passes."""
+    line, as P from :func:`solve_lines` is finite exactly when P_M is.  Each odd
+    P_k adds a finite pair difference onto the one before, so a non-finite one
+    reaches the last odd P_k and P_M, which is it or it plus c_{M-1}.  An even
+    P_k adds onto an odd one, and nothing adds onto it, so a line where one
+    overflows, or a pair difference does, is built by the alternating scan,
+    P_k = P_{k-1} +- c_{k-1}, where each P_k adds onto the one before.  The check
+    is |e| < inf, which every Fraction passes."""
     first = np.asarray(first)[..., None]
     half = first / 2
     rounded = None
@@ -586,10 +601,15 @@ def solve_lines(c: np.ndarray, tolerance: float = DEFAULT_TOLERANCE):
     at 2^-k, where S fits: there max|c| >= 1, so scaling both sides is exact,
     even where S, and with a tolerance over 2 the bound, are beyond float64.
 
-    P is a new buffer.  On the row path (:func:`_rowwise`) it is laid out
-    position-outermost and summed with one row add per position, and S is row
-    adds in numpy's pairwise order; otherwise ``np.cumsum`` runs along each line,
-    and S is summed in runs of at most ``_LEAF`` terms.  The bits agree.
+    P is a new buffer, built pair-first: P_{2t+1} = P_{2t-1} + (c_{2t-1} - c_{2t})
+    in sequence, and P_{2t+2} = P_{2t+1} + c_{2t+1}.  On the row path
+    (:func:`_rowwise`) it is laid out position-outermost and built with one row
+    subtract and one add onto two rows per pair of positions, and S is row adds
+    in numpy's pairwise order; otherwise ``np.cumsum`` runs over the odd-indexed
+    P_k of each line, and S is summed in runs of at most ``_LEAF`` terms.  The
+    bits agree.  Where the FP overflow flag is raised, a line with some P_k not
+    finite is built again by the alternating scan, P_k = P_{k-1} +- c_{k-1}, so
+    that P is finite exactly when P_M is (see :func:`_telescope`).
     """
     tolerance = _finite_number(tolerance, False, "tolerance")
     if tolerance < 0.0:
@@ -602,18 +622,33 @@ def solve_lines(c: np.ndarray, tolerance: float = DEFAULT_TOLERANCE):
         partial = np.empty_like(c)
     partial[..., 0] = 0
     partial[..., 1:] = c[..., :-1]
-    np.negative(partial[..., 2::2], out=partial[..., 2::2])   # (-1)^(j-1) c_j, j = k - 1
-    if m % 2 == 0:   # P holds +-c_1 .. +-c_{M-1} until it is summed: no |c| temporary
+    if m % 2 == 0:   # P holds c_1 .. c_{M-1} until it is summed: no |c| temporary
         head = partial[..., 1:]
         max_abs = np.maximum(np.maximum(head.max(axis=-1), -head.min(axis=-1)),
                              np.abs(c[..., -1]))
-    with np.errstate(over="ignore", invalid="ignore"):  # _telescope and the test below report it
-        if rowwise:
+    overflowed = []
+    with np.errstate(over="call", invalid="ignore", call=lambda *_: overflowed.append(True)):
+        if rowwise:   # row k holds P_{k+1}; rows k+1, k+2 hold c_{k+1}, c_{k+2} until then
             rows = np.moveaxis(partial, -1, 0)
-            for k in range(2, m):
-                np.add(rows[k - 1, ...], rows[k, ...], out=rows[k, ...])   # views, even 0-d
+            for k in range(0, m - 1, 2):
+                if k + 2 < m:
+                    np.subtract(rows[k + 1], rows[k + 2], out=rows[k + 2])
+                if k:   # P_1 = 0 is not added: P_2 = c_1 and P_3 = c_1 - c_2 keep a -0.0
+                    rows[k + 1:k + 3] += rows[k]
         else:
-            np.cumsum(partial[..., 1:], axis=-1, out=partial[..., 1:])
+            n = (m - 1) // 2
+            odd = partial[..., 2::2]   # P_3, P_5, ...: the pair differences, then their sums
+            np.subtract(c[..., :2 * n:2], c[..., 1:2 * n:2], out=odd)
+            np.cumsum(odd, axis=-1, out=odd)
+            np.add(partial[..., 2:m - 1:2], partial[..., 3::2], out=partial[..., 3::2])
+    with np.errstate(over="ignore", invalid="ignore"):  # _telescope and the test below report it
+        if overflowed:   # the alternating scan for a line with some P_k not finite
+            bad = ~((partial.max(axis=-1) < np.inf) & (partial.min(axis=-1) > -np.inf))
+            redo = partial[bad]
+            redo[..., 1:] = c[bad][..., :-1]
+            np.negative(redo[..., 2::2], out=redo[..., 2::2])
+            np.cumsum(redo[..., 1:], axis=-1, out=redo[..., 1:])
+            partial[bad] = redo
         s = alternating_sums(c)
         if m % 2 == 1:
             return partial, s, None, None

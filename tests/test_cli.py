@@ -296,6 +296,18 @@ class TestToEdges:
         assert proc.stderr.decode().splitlines() == [
             "error: edge values overflow float64: the input is too large in magnitude"]
 
+    def test_pair_difference_overflow_exit_2(self, tmp_path):
+        # c_3 - c_4 overflows though every partial sum fits: the kernel takes the
+        # alternating scan there, and the edges, which cannot fit, are refused
+        centers = tmp_path / "c.txt"
+        write_centered(centers, [[1.5e308, 0.0, -1e308, 1e308, 0.0]])
+        proc = run_cli("to-edges", "--input", str(centers), "--axis", "1",
+                       "--n-edges", "7", "--strategy", "unique",
+                       "--output", str(tmp_path / "o.txt"))
+        assert proc.returncode == 2
+        assert proc.stderr.decode().splitlines() == [
+            "error: edge values overflow float64: the input is too large in magnitude"]
+
     def test_custom_tolerance(self, tmp_path):
         centers = tmp_path / "c.txt"
         out = tmp_path / "o.txt"

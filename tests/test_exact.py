@@ -1,5 +1,6 @@
 """Tests for the dense exact oracle and its agreement with the fast solver."""
 
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -71,6 +72,23 @@ class TestBuildSystem:
     def test_validation_rejects_an_empty_system(self):
         with pytest.raises(ValueError, match="^system needs at least one unknown, got m=0$"):
             DenseSystem(0, (), ())
+
+    @pytest.mark.parametrize("m, message", [
+        (10**5, "^dense oracle capped at 64 unknowns; got m=100000$"),
+        (1000, "^dense oracle capped at 64 unknowns; got m=1000$"),
+        (64, "^rhs length 0 does not match m=64$"),
+    ])
+    def test_size_and_rhs_are_checked_before_the_pattern_is_built(self, m, message):
+        """The M x M pattern is built only for a system within the cap whose rhs
+        has M values: m = 1000 alone peaked at 8.07 MB traced before."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                DenseSystem(m, (), ())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestDeterminant:

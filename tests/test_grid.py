@@ -1,10 +1,13 @@
 """Unit and property tests for the 1-D grid types and transforms."""
 
+import hashlib
+import itertools
 import math
 import numbers
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1316,11 +1319,31 @@ def checkerboard_signs(m):
     return signs
 
 
-def reference_partial(c):
+def reference_scan_partial(c):
+    """P_k = P_{k-1} + (-1)^(k-2) c_{k-1} in sequence: the alternating scan."""
     partial = np.zeros_like(c)
     np.multiply(checkerboard_signs(c.shape[-1])[:-1], c[..., :-1], out=partial[..., 1:])
     with np.errstate(over="ignore", invalid="ignore"):
         np.cumsum(partial[..., 1:], axis=-1, out=partial[..., 1:])
+    return partial
+
+
+def reference_partial(c):
+    """P pair-first, 0-based: P_{2t} = sum_{i<t} (c_{2i} - c_{2i+1}) in sequence and
+    P_{2t+1} = P_{2t} + c_{2t}, but P_1 = c_0 as it is; a line where that leaves
+    some P_k not finite takes the alternating scan."""
+    m = c.shape[-1]
+    partial = np.zeros_like(c)
+    partial[..., 1:2] = c[..., :1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairs = [c[..., 2 * i] - c[..., 2 * i + 1] for i in range((m - 1) // 2)]
+        for t, total in enumerate(itertools.accumulate(pairs), start=1):
+            partial[..., 2 * t] = total
+            if 2 * t + 1 < m:
+                partial[..., 2 * t + 1] = total + c[..., 2 * t]
+    if c.dtype != object:
+        bad = ~np.all(np.isfinite(partial), axis=-1)
+        partial[bad] = reference_scan_partial(c[bad])
     return partial
 
 
@@ -1633,6 +1656,207 @@ def test_leaf_runs_change_no_bit(m, leaf, monkeypatch):
                         assert bits(kernel.alternating_sums(c)) == bits(
                             reference_alternating_sums(c))
                     assert completions(c) == unsplit
+
+
+# -- P pair-first, against exact prefix sums and the alternating scan ----------
+
+
+def partial_errors(c, partial):
+    """P_k - sum_{j<k} (-1)^j c_j (0-based) of a float line, exactly: every term
+    lies on the grid 2^-q of the finest one, and so does every float sum of them,
+    so both sides are Python ints there."""
+    terms = c[:-1] * checkerboard_signs(c.shape[-1])[:-1]
+    q = 53 - int(np.frexp(terms[terms != 0])[1].min())
+
+    def on_grid(x):   # a shift right drops only zero bits
+        mantissa, exponent = np.frexp(x)
+        return [int(v) << e if e >= 0 else int(v) >> -e for v, e in
+                zip((mantissa * 2.0**53).tolist(), (exponent + q - 53).tolist())]
+    exact = [0, *itertools.accumulate(on_grid(terms))]
+    return np.array([(p - e) / 2**q for p, e in zip(on_grid(partial), exact)])
+
+
+@pytest.mark.parametrize("m", [131_073, 131_072])
+def test_pair_first_partial_sums_against_exact_prefix_sums(m):
+    """With an offset, P built pair-first is no farther from the exact prefix sums
+    than the alternating scan's P: the offset cancels in each pair difference
+    before anything accumulates (at 1e3: 1.1e-13 against 1.3e-11 and 5.7e-13,
+    at 1e6 both exact).  At zero mean neither is nearer on every draw (here:
+    2.5e-12 against 1.8e-12, and 6.4e-12 against 4.8e-12); there the rounding a
+    step of two slots adds, the variance of the error between even slots, is
+    halved (0.49 to 0.51 of the scan's on 20 seeds)."""
+    z = np.random.default_rng([0, m]).standard_normal(m)
+    for offset in (0.0, 1e3, 1e6):
+        c = offset + z
+        scan = partial_errors(c, reference_scan_partial(c))
+        pair_first = partial_errors(c, kernel.solve_lines(c)[0])
+        assert bits(kernel.solve_lines(c)[0]) == bits(reference_partial(c))
+        if offset:
+            assert np.max(np.abs(pair_first)) <= np.max(np.abs(scan))
+        else:
+            steps = [np.sum(np.diff(err[::2]) ** 2) for err in (pair_first, scan)]
+            assert steps[0] <= 0.6 * steps[1]
+
+
+#: Odd and even lines where the pair difference c_2 - c_3 (0-based) overflows but
+#: every P_k fits: P_3 = 1.5e308 - 1e308, P_4 = P_3 - 1e308.  No edge solution
+#: fits there, as e_2 - e_4 = 2 (c_2 - c_3); the even line is consistent, S = 0.
+PAIR_OVERFLOWS = {"odd": [1.5e308, 0.0, -1e308, 1e308, 0.0],
+                  "even": [1.5e308, 0.0, -1e308, 1e308, 0.0, -0.5e308]}
+
+
+@pytest.mark.parametrize("parity", ["odd", "even"])
+@pytest.mark.parametrize("lines", [1, 3, 600])
+def test_a_pair_difference_that_overflows_takes_the_scan(parity, lines):
+    """That line's P is the alternating scan's, bit for bit, on the line path and
+    on the row path, and every other line keeps its pair-first bits; its class is
+    the scan's (the even line a Family whose members overflow, not a ValueError
+    from its solve), its edges raise ValueError, and numpy warns of nothing."""
+    line = np.array(PAIR_OVERFLOWS[parity])
+    batch = kernel.average_lines(np.random.default_rng(3).standard_normal((lines, line.size)))
+    batch[lines // 2] = line
+    assert kernel._rowwise(batch) == (lines >= kernel._ROWWISE_MIN_LINES)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        partial = kernel.solve_lines(batch)[0]
+        strategy = "unique" if parity == "odd" else "min-norm"
+        with pytest.raises(ValueError, match="^edge values overflow float64"):
+            kernel.complete_lines(batch, strategy)
+        centers = CenterField1D(PeriodicStagger1D(line.size + 2), line)
+        if parity == "odd":
+            with pytest.raises(ValueError, match="^edge values overflow float64"):
+                edges_from_centers(centers)
+        else:
+            family = edges_from_centers(centers)
+            assert isinstance(family, Family)
+            for member in (lambda: family.particular, lambda: complete_min_norm(family)):
+                with pytest.raises(ValueError, match="^edge values overflow float64"):
+                    member()
+    scan = reference_scan_partial(line)
+    assert np.all(np.isfinite(scan)) and bits(partial[lines // 2]) == bits(scan)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(line[2] - line[3])
+    for i in range(lines):
+        assert bits(partial[i]) == bits(reference_partial(batch[i]))
+        assert bits(partial[i]) == bits(kernel.solve_lines(batch[i])[0])
+
+
+@pytest.mark.parametrize("lines", [1, 600])
+def test_an_odd_slot_that_overflows_where_the_last_fits_takes_the_scan(lines):
+    """P_3 = P_2 + c_2 overflows, yet P_4 = P_2 + (c_2 - c_3) fits, and no later
+    slot adds onto P_3: a line is redone by the scan wherever some P_k is not
+    finite, not only P_M, so its edges raise and none comes back infinite."""
+    line = np.array([1e308, 0.0, 1e308, 1e308, 0.0])
+    batch = np.tile(line, (lines, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        partial = kernel.solve_lines(batch)[0]
+        with pytest.raises(ValueError, match="^edge values overflow float64"):
+            kernel.complete_lines(batch, "unique")
+    assert bits(partial[-1]) == bits(reference_scan_partial(line))
+    assert np.isinf(partial[-1, 3]) and np.isinf(partial[-1, 4])
+
+
+# -- the outcome digest ------------------------------------------------------
+# A SHA-256 over the class and residual of every line of a fixed sample, and
+# over the class of every completion of it, pinned in tests/goldens: a change to
+# how P is built may change edge bits, but never a class, S or a residual.
+
+OUTCOME_DIGEST = Path(__file__).parent / "goldens" / "outcome_digest.sha256"
+DIGEST_LENGTHS = list(range(1, 41)) + [63, 64, 65, 128, 129, 300]
+
+
+def digest_batches():
+    """(name, c) of the sample: float lines of every length in DIGEST_LENGTHS,
+    alone, three at a time and 600 at a time (the row path up to 64 values), at
+    subnormal, unit, offset 1e6 and near-limit scales, as averages of edges
+    (consistent up to rounding) or with every line poisoned by a relative step
+    from 1e-15 to 1; and Fraction lines, exact averages, poisoned or not, alone,
+    three at a time and on the row path."""
+    limit = float(np.finfo(np.float64).max)
+    for m in DIGEST_LENGTHS:
+        for lines in (1, 3, 600):
+            for k, (scale, offset) in enumerate(((2.0**-1070, 0.0), (1.0, 0.0), (1.0, 1e6),
+                                                 (1e300, 0.0), (limit / 2, 0.0), (limit, 0.0))):
+                rng = np.random.default_rng([m, lines, k])
+                edges = offset + rng.uniform(-1.0, 1.0, (lines, m)) * scale
+                c = kernel.average_lines(edges)
+                steps = np.array([1e-15, 1e-12, 1e-10, 1e-8, 1e-4, 1.0])
+                poisoned = c.copy()
+                with np.errstate(over="ignore"):
+                    poisoned[:, m // 3] += steps[np.arange(lines) % 6] * (scale + offset)
+                poisoned[~np.isfinite(poisoned)] = limit
+                yield f"float m={m} lines={lines} k={k}", c
+                yield f"float poisoned m={m} lines={lines} k={k}", poisoned
+    for m in list(range(1, 11)) + [63, 64, 65]:
+        for lines in (1, 3, 512) if m in (7, 8) else (1, 3):
+            rng = np.random.default_rng([m, lines, 99])
+            edges = np.array([Fraction(int(v), 1 + int(d)) for v, d in
+                              zip(rng.integers(-10**6, 10**6, lines * m),
+                                  rng.integers(0, 1000, lines * m))],
+                             dtype=object).reshape(lines, m)
+            c = (edges + np.roll(edges, -1, axis=-1)) / 2
+            poisoned = c.copy()
+            poisoned[::2, m // 3] += Fraction(1, 10**9)
+            yield f"exact m={m} lines={lines}", c
+            yield f"exact poisoned m={m} lines={lines}", poisoned
+
+
+def outcome_digest():
+    """(hex SHA-256, count) over the class, S and residual of every line of
+    every digest batch at tolerances 0, 1e-10 and 4 by solve_lines, and the
+    class of every strategy of complete_lines on it (ok, or the error, its
+    message, residual and line_coords), and of the 1-D API on each of its
+    first three lines (the outcome type and residual, or the error)."""
+    digest, count = hashlib.sha256(), 0
+
+    def feed(*parts):
+        for part in parts:
+            digest.update(repr(bits(part) if isinstance(part, np.ndarray) else part).encode())
+
+    def classed(call):
+        try:
+            call()
+        except InconsistentDataError as exc:
+            return type(exc).__name__, str(exc), bits(exc.residual), exc.line_coords
+        except ValueError as exc:
+            return type(exc).__name__, str(exc)
+        return "ok"
+
+    for name, c in digest_batches():
+        m, lines = c.shape[-1], c.shape[0]
+        feed(name)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for tolerance in (0.0, 1e-10, 4.0):
+                _, s, residual, consistent = kernel.solve_lines(c, tolerance)
+                feed(tolerance, np.asarray(s), None if residual is None else np.asarray(residual),
+                     None if consistent is None else np.asarray(consistent))
+                count += lines
+        strategies = [("unique",)] if m % 2 else [("min-norm",), ("pin", 1, 0.0),
+                                                  ("pin", m, -2.5)]
+        for args in strategies:
+            feed(args, classed(lambda: kernel.complete_lines(c, args[0], 1e-10, *args[1:])))
+            count += 1
+        for line in c[:3]:
+            centers = CenterField1D(PeriodicStagger1D(m + 2), line)
+            try:
+                out = edges_from_centers(centers)
+            except ValueError as exc:
+                feed(type(exc).__name__, str(exc))
+            else:
+                feed(type(out).__name__, getattr(out, "residual", None))
+                if isinstance(out, Family):
+                    feed(classed(lambda: complete_min_norm(out)))
+            count += 1
+    return digest.hexdigest(), count
+
+
+def test_outcome_digest_matches_the_golden():
+    """Every class, S and residual of the digest sample is what it was when P was
+    built by the alternating scan."""
+    hexdigest, count = outcome_digest()
+    assert count >= 60_000
+    assert hexdigest == OUTCOME_DIGEST.read_text().split()[0]
 
 
 # -- memory ------------------------------------------------------------------
