@@ -42,25 +42,33 @@ differences, P_{2t+1} = P_{2t-1} + (c_{2t-1} - c_{2t}), and each even-indexed
 one is one add, P_{2t+2} = P_{2t+1} + c_{2t+1}.  So the running sum has M / 2
 terms, not M - 1, and a common offset of the centers cancels in each difference
 before anything accumulates, as it does for S.  It is built in one of two
-orders of memory.  Usually ``np.cumsum`` runs over the odd-indexed slots of each
-line, between one strided subtract and one strided add.  On the row path (at
-least ``_ROWWISE_MIN_LINES`` lines of at most ``_ROWWISE_MAX_LENGTH`` values,
-read from the shape) numpy's one inner loop per line costs more than the
-arithmetic, so P is laid out position-outermost and built with one row
-subtract and one add onto the next two rows per pair of positions, across all
-lines.  Both make the same sums in the same order, so P has the same bits
-either way; before that, P holds c_1..c_{M-1}, which give max|c|.  A pair
-difference can overflow where P fits (c_{2t-1} = -1e308 and c_{2t} = 1e308
-after P_{2t-1} = 1.5e308), and an even-indexed P_k can overflow where no later
-one does; only when the FP overflow flag says so is a line with some P_k not
-finite built again by the alternating scan, P_k = P_{k-1} + (-1)^k c_{k-1} in
-sequence, whose bits P then has.  S and the min-norm mean are pairwise
-sums, as np.sum gives them for a line alone: of the differences of c, and of
-the pair sums P_{2j-1} + P_{2j}, float or Fraction alike, by one of two paths.
-On the row path they are row adds in numpy's pairwise order.  Off it, a sum is
-split as numpy splits it, and each run of at most ``_LEAF`` terms is made in
-one scratch of min(n, ``_LEAF``) terms per line and summed there: the same
-bits either way, and no temporary holding half a line.
+orders of memory.  Usually ``np.cumsum`` runs over the odd-indexed slots of
+each line, between one strided subtract and one strided add.  On the row path
+(at least ``_ROWWISE_MIN_LINES`` lines of at most ``_ROWWISE_MAX_LENGTH``
+values, read from the shape) numpy's one inner loop per line costs more than
+the arithmetic, so P is laid out position-outermost and built across all lines,
+with one subtract over its rows and then one add onto the next two rows per
+pair of positions.  Both make the same sums in the same order, so P has the
+same bits either way.  The line path makes every slot from c, with no copy of
+it, and reads max|c| from c; the row path first copies c into its rows (c_M,
+for even M, into P_1's), which give max|c| there.  A pair difference can
+overflow where P fits (c_{2t-1} = -1e308 and c_{2t} = 1e308 after P_{2t-1} =
+1.5e308), and an even-indexed P_k can overflow where no later one does; only
+when the FP overflow flag says so is a line with some P_k not finite built
+again by the alternating scan, P_k = P_{k-1} + (-1)^k c_{k-1} in sequence,
+whose bits P then has.  S and the min-norm mean are pairwise sums, as np.sum
+gives them for a line alone: of the differences of c, and of the pair sums
+P_{2j-1} + P_{2j}, float or Fraction alike, by one of two paths.  On the row
+path they are row adds in numpy's pairwise order.  Off it, a sum is split as
+numpy splits it, and each run of at most ``_LEAF`` terms is made in one scratch
+of min(n, ``_LEAF``) terms per line and summed there: the same bits either way,
+and no temporary holding half a line.  For even M, S is summed from the pair
+differences while P's odd-indexed slots hold them, before the scan overwrites
+them (:func:`_slot_sums`): each run is reduced where it lies, and only the last
+difference, which has no slot, is made in a scratch.  Off the row path that
+takes a C-ordered P, whose slots numpy's reduction walks in its pairwise order;
+a P of another layout sums its differences of c anew, and so does odd M, whose
+S sums c_{2j+1} - c_{2j}, which P does not hold.
 
 Each call builds only what it returns: an even-N solve keeps P and builds no
 edge, and :class:`Family` builds its particular and null direction on first
@@ -397,15 +405,16 @@ def alternating_sums(c: np.ndarray):
     return c[..., 0] + s if odd else s
 
 
-def _pair_total(op, x: np.ndarray, divisor: int = 1):
+def _pair_total(op, x: np.ndarray, divisor: int = 1, total=None):
     """sum_j op(x_{2j+1}, x_{2j}) / ``divisor`` of every line of ``x``: the sum as
-    :func:`_pair_sum` makes it, divided once.  A line whose quotient is not finite
-    (never a Fraction line: a Fraction is always finite) is summed again alone on
-    x / 2^k, k = ceil(log2 n) for lines of n values, where no sum of n/2 terms,
-    each at most 2 max|x| / 2^k, overflows; it is divided there and scaled back
-    by 2^k, so that it overflows only where the quotient does.  No other line is
-    touched."""
-    total = _pair_sum(op, x)
+    :func:`_pair_sum` makes it, or ``total`` where the caller made it so, divided
+    once.  A line whose quotient is not finite (never a Fraction line: a Fraction
+    is always finite) is summed again alone on x / 2^k, k = ceil(log2 n) for
+    lines of n values, where no sum of n/2 terms, each at most 2 max|x| / 2^k,
+    overflows; it is divided there and scaled back by 2^k, so that it overflows
+    only where the quotient does.  No other line is touched."""
+    if total is None:
+        total = _pair_sum(op, x)
     if divisor != 1:   # an empty sum of Fractions is the int 0, which / makes a float
         total = total / divisor
     if not np.all(np.abs(total) < np.inf):
@@ -445,22 +454,27 @@ def _pair_sum(op, x: np.ndarray):
 _LEAF = 8192
 
 
-def _pairwise_rows(term, n: int, run=None, lo: int = 0):
+def _pairwise_rows(term, n: int, run=None, lo: int = 0, copy: bool = False):
     """term(lo) + ... + term(lo + n - 1) for new rows term(j), added in the order of
     numpy's pairwise_sum (loops_utils.h.src), as np.sum adds a contiguous line:
     over 128 terms, the first n2 = n // 2, rounded down to a multiple of 8, and the
     rest are each summed so and then added; up to 128, under 8 in sequence, else
     into 8 accumulators r_{j mod 8}, combined as ((r0 + r1) + (r2 + r3)) +
-    ((r4 + r5) + (r6 + r7)), then the rest in sequence.  Given ``run``, the split
-    stops at ``_LEAF`` terms instead, and run(lo, k) sums terms lo .. lo + k - 1,
-    as np.sum of them does, in this same order (``term`` is unused)."""
+    ((r4 + r5) + (r6 + r7)), then the rest in sequence.  With ``copy``, term(j)
+    may be a row to keep, and only the at most 8 that become accumulators are
+    copied.  Given ``run``, the split stops at ``_LEAF`` terms instead, and
+    run(lo, k) sums terms lo .. lo + k - 1, as np.sum of them does, in this same
+    order (``term`` is unused)."""
     if n > (128 if run is None else _LEAF):
         n2 = n // 2 - n // 2 % 8
-        return _pairwise_rows(term, n2, run, lo) + _pairwise_rows(term, n - n2, run, lo + n2)
+        return (_pairwise_rows(term, n2, run, lo, copy)
+                + _pairwise_rows(term, n - n2, run, lo + n2, copy))
     if run is not None:
         return run(lo, n)
     head = n - n % 8 if n >= 8 else 1   # the terms added before the sequential rest
     r = [term(lo + j) for j in range(min(head, 8))]
+    if copy:
+        r = [row.copy() for row in r]
     for j in range(8, head):
         r[j % 8] += term(lo + j)
     if n >= 8:
@@ -469,6 +483,31 @@ def _pairwise_rows(term, n: int, run=None, lo: int = 0):
     for j in range(head, n):
         r[0] += term(lo + j)
     return r[0]
+
+
+def _slot_sums(c: np.ndarray, slots: np.ndarray, rowwise: bool):
+    """S of every line of ``c``, M even, from the pair differences d_t = c_{2t-1} -
+    c_{2t} that P's odd-indexed slots hold before the scan sums them (``slots``:
+    row t - 1 on the row path, else entry t - 1 of each line, C-ordered).  S =
+    0 - sum_t d_t, summed in the order :func:`_pair_sum` sums the differences
+    c_{2t} - c_{2t-1}, and so with its bits: rounding is symmetric, so negated
+    terms give the negated sum, and ``0 -`` makes a zero +0.0, as its + 0 does.
+    The last difference, which has no slot, is made as a new row, or off the row
+    path in the scratch of the last run; every other run is reduced in place."""
+    half = c.shape[-1] // 2
+    if rowwise:
+        total = _pairwise_rows(lambda j: slots[j] if j < half - 1 else c[..., -2] - c[..., -1],
+                               half, copy=True)
+    else:   # run must not refer to itself: that cycle would hold each P until a collection
+        def run(lo, k):
+            if lo + k < half:
+                return np.add.reduce(slots[..., lo:lo + k], axis=-1)
+            scratch = np.empty(c.shape[:-1] + (k,), c.dtype)
+            scratch[..., :-1] = slots[..., lo:]
+            np.subtract(c[..., -2], c[..., -1], out=scratch[..., -1])
+            return np.add.reduce(scratch, axis=-1)
+        total = _pairwise_rows(None, half, run)
+    return 0 - total
 
 
 def _telescope(first, partial: np.ndarray, out=None) -> np.ndarray:
@@ -603,10 +642,14 @@ def solve_lines(c: np.ndarray, tolerance: float = DEFAULT_TOLERANCE):
 
     P is a new buffer, built pair-first: P_{2t+1} = P_{2t-1} + (c_{2t-1} - c_{2t})
     in sequence, and P_{2t+2} = P_{2t+1} + c_{2t+1}.  On the row path
-    (:func:`_rowwise`) it is laid out position-outermost and built with one row
-    subtract and one add onto two rows per pair of positions, and S is row adds
-    in numpy's pairwise order; otherwise ``np.cumsum`` runs over the odd-indexed
-    P_k of each line, and S is summed in runs of at most ``_LEAF`` terms.  The
+    (:func:`_rowwise`) it is laid out position-outermost, c_1 .. c_{M-1} are
+    copied into its rows, and it is built with one subtract over the rows of all
+    pair differences, then one add onto two rows per pair of positions, and S is
+    row adds in numpy's pairwise order; otherwise it is made from c with no copy,
+    one strided subtract, ``np.cumsum`` over the odd-indexed P_k of each line and
+    one strided add of c, and S is summed in runs of at most ``_LEAF`` terms.
+    For even M, S is summed from the pair differences between the subtract and
+    the adds (:func:`_slot_sums`), on the row path and where P is C-ordered.  The
     bits agree.  Where the FP overflow flag is raised, a line with some P_k not
     finite is built again by the alternating scan, P_k = P_{k-1} +- c_{k-1}, so
     that P is finite exactly when P_M is (see :func:`_telescope`).
@@ -615,32 +658,40 @@ def solve_lines(c: np.ndarray, tolerance: float = DEFAULT_TOLERANCE):
     if tolerance < 0.0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance!r}")
     m = c.shape[-1]
+    even = m % 2 == 0
     rowwise = _rowwise(c)
-    if rowwise:
+    if rowwise:   # row k holds P_{k+1}; until then rows 1 .. M-1 hold c_1 .. c_{M-1}
         partial = np.moveaxis(np.empty((m,) + c.shape[:-1], c.dtype), 0, -1)
-    else:
+        partial[..., 1:] = c[..., :-1]
+        if even:   # and row 0 c_M, until max|c| is read
+            partial[..., 0] = c[..., -1]
+        rows = np.moveaxis(partial, -1, 0)
+        slots = rows[2::2]   # P_3, P_5, ...: the pair differences, then their sums
+    else:   # every slot is made from c, with no copy of it
         partial = np.empty_like(c)
+        partial[..., 1:2] = c[..., :min(1, m - 1)]
+        slots = partial[..., 2::2]
+    if even:   # max|c|, read where all of c lies: no |c| temporary
+        values = partial if rowwise else c
+        max_abs = np.maximum(values.max(axis=-1), -values.min(axis=-1))
     partial[..., 0] = 0
-    partial[..., 1:] = c[..., :-1]
-    if m % 2 == 0:   # P holds c_1 .. c_{M-1} until it is summed: no |c| temporary
-        head = partial[..., 1:]
-        max_abs = np.maximum(np.maximum(head.max(axis=-1), -head.min(axis=-1)),
-                             np.abs(c[..., -1]))
+    s = None
     overflowed = []
     with np.errstate(over="call", invalid="ignore", call=lambda *_: overflowed.append(True)):
-        if rowwise:   # row k holds P_{k+1}; rows k+1, k+2 hold c_{k+1}, c_{k+2} until then
-            rows = np.moveaxis(partial, -1, 0)
-            for k in range(0, m - 1, 2):
-                if k + 2 < m:
-                    np.subtract(rows[k + 1], rows[k + 2], out=rows[k + 2])
-                if k:   # P_1 = 0 is not added: P_2 = c_1 and P_3 = c_1 - c_2 keep a -0.0
-                    rows[k + 1:k + 3] += rows[k]
+        if rowwise:
+            np.subtract(rows[1:m - 1:2], slots, out=slots)
         else:
             n = (m - 1) // 2
-            odd = partial[..., 2::2]   # P_3, P_5, ...: the pair differences, then their sums
-            np.subtract(c[..., :2 * n:2], c[..., 1:2 * n:2], out=odd)
-            np.cumsum(odd, axis=-1, out=odd)
-            np.add(partial[..., 2:m - 1:2], partial[..., 3::2], out=partial[..., 3::2])
+            np.subtract(c[..., :2 * n:2], c[..., 1:2 * n:2], out=slots)
+        if even and (rowwise or partial.flags.c_contiguous):
+            with np.errstate(over="ignore"):   # the flag is for P: S is checked below
+                s = _slot_sums(c, slots, rowwise)
+        if rowwise:
+            for k in range(2, m - 1, 2):   # P_1 = 0 is not added: P_2 and P_3 keep a -0.0
+                rows[k + 1:k + 3] += rows[k]
+        else:
+            np.cumsum(slots, axis=-1, out=slots)
+            np.add(partial[..., 2:m - 1:2], c[..., 2:m - 1:2], out=partial[..., 3::2])
     with np.errstate(over="ignore", invalid="ignore"):  # _telescope and the test below report it
         if overflowed:   # the alternating scan for a line with some P_k not finite
             bad = ~((partial.max(axis=-1) < np.inf) & (partial.min(axis=-1) > -np.inf))
@@ -649,9 +700,9 @@ def solve_lines(c: np.ndarray, tolerance: float = DEFAULT_TOLERANCE):
             np.negative(redo[..., 2::2], out=redo[..., 2::2])
             np.cumsum(redo[..., 1:], axis=-1, out=redo[..., 1:])
             partial[bad] = redo
-        s = alternating_sums(c)
-        if m % 2 == 1:
-            return partial, s, None, None
+        if not even:
+            return partial, alternating_sums(c), None, None
+        s = _pair_total(np.subtract, c, total=s)
         residual = 2 * s
         allowance = 0 if c.dtype == object else tolerance + 2 * m * 2.0**-53
         consistent = np.abs(residual) <= allowance * max_abs

@@ -1,5 +1,6 @@
 """Unit and property tests for the 1-D grid types and transforms."""
 
+import gc
 import hashlib
 import itertools
 import math
@@ -1658,6 +1659,137 @@ def test_leaf_runs_change_no_bit(m, leaf, monkeypatch):
                     assert completions(c) == unsplit
 
 
+# -- S from the pair differences in P's slots ---------------------------------
+
+
+def slot_layouts(m):
+    """(name, c, from_slots) for lines of m centers, some offset by 1e6: one line,
+    a C-ordered batch of 3, the same with its line axis strided (P is still a new
+    C-ordered buffer), a Fortran-ordered batch (P is too, so S is summed by
+    alternating_sums), and for m up to _ROWWISE_MAX_LENGTH lines on the row path,
+    over 40 decades; ``from_slots`` says whether S is summed from P's slots."""
+    rng = np.random.default_rng([m, 32])
+    c = rng.standard_normal((3, m))
+    c[1] += 1e6
+    yield "line", c[1].copy(), True
+    yield "C-ordered batch", c, True
+    yield "strided batch", np.repeat(c, 2, axis=-1)[..., ::2], True
+    yield "Fortran-ordered batch", np.asfortranarray(c), False
+    if m <= kernel._ROWWISE_MAX_LENGTH:
+        lines = kernel._ROWWISE_MIN_LINES
+        decades = 10.0 ** rng.integers(-20, 20, (lines, 1))
+        yield "row path", rng.standard_normal((lines, m)) * decades, True
+
+
+@pytest.mark.parametrize("leaf", [128, 136])
+@pytest.mark.parametrize("half", [1, 7, 8, 9, 32, 127, 128, 129, 135, 136, 137, 3 * 136 + 5])
+def test_slot_sums_give_the_bits_of_the_difference_sums(half, leaf, monkeypatch):
+    """S of even lines, summed from the pair differences P holds before its scan,
+    with the last difference made in the last run's scratch, is
+    reference_alternating_sums' S bit for bit: M / 2 within one run, at and around
+    the end of a run of _LEAF terms (read at call time), and over several runs,
+    on every layout; only a Fortran-ordered batch, whose P is too, takes
+    alternating_sums instead."""
+    monkeypatch.setattr(kernel, "_LEAF", leaf)
+    calls = []
+    slot_sums = kernel._slot_sums
+    monkeypatch.setattr(kernel, "_slot_sums", lambda *args: calls.append(args) or slot_sums(*args))
+    for name, c, from_slots in slot_layouts(2 * half):
+        calls.clear()
+        s = kernel.solve_lines(c)[1]
+        assert bits(s) == bits(reference_alternating_sums(c)), name
+        assert bool(calls) == from_slots, name
+
+
+@pytest.mark.parametrize("shape", [(8,), (3, 8), (512, 8), (3, 300)])
+def test_slot_sums_of_zero_lines_are_plus_zero(shape):
+    """All -0.0, all +0.0 and zeros of both signs: every pair difference is a
+    zero, and S is +0.0, as np.sum's accumulator makes it."""
+    signs = np.random.default_rng(len(shape)).integers(0, 2, shape)
+    for c in (np.full(shape, -0.0), np.zeros(shape), np.where(signs, 0.0, -0.0)):
+        s = kernel.solve_lines(c)[1]
+        assert bits(s) == bits(np.zeros(shape[:-1])) == bits(reference_alternating_sums(c))
+
+
+@pytest.mark.parametrize("lines", [1, 3, 512])
+def test_a_pair_difference_that_overflows_where_s_fits_takes_the_retry(lines):
+    """c_2 - c_1 and c_4 - c_3 overflow, to +inf and -inf, so the sum of the slots
+    is nan; S = -0.75e308 fits, and the line alone is summed again on c / 8, as
+    alternating_sums sums it there; every other line keeps its slot sum."""
+    line = np.array([-1e308, 1e308, 1e308, -1e308, 0.5e308, 0.0, 0.25e308, 0.0])
+    with np.errstate(over="ignore"):
+        assert np.isinf(line[1] - line[0]) and np.isinf(line[3] - line[2])
+    batch = kernel.average_lines(np.random.default_rng(4).standard_normal((lines, line.size)))
+    batch[lines // 2] = line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = kernel.solve_lines(batch)[1]
+    assert np.all(np.isfinite(s))
+    assert bits(s) == bits(reference_alternating_sums(batch))
+    assert math.isclose(s[lines // 2], -0.75e308, rel_tol=1e-15)
+
+
+# -- the float kernel against the dense oracle --------------------------------
+
+
+def pinned_member(family, v):
+    """The member of an oracle family with e_1 = v, from its particular and null
+    direction, in Fractions."""
+    p, null = family.particular.values, family.null_direction
+    t = (v - p[0]) / null[0]
+    return [a + t * b for a, b in zip(p, null)]
+
+
+def as_floats(values):
+    """Fractions as float64, each checked to be held exactly."""
+    floats = np.array([float(v) for v in values])
+    assert [Fraction(v) for v in floats.tolist()] == list(values)
+    return floats
+
+
+@pytest.mark.parametrize("n_edges", range(3, 67))
+def test_float_kernel_matches_the_dense_oracle_on_integer_lines(n_edges):
+    """At every N the oracle covers, float lines of integers and halves get the
+    oracle's answer exactly, as every sum of them is exact: for odd N, c_i = i + j,
+    the Unique edges; for even N, c_i = i + j, the Inconsistent residual; for even
+    N, the centers of the planted edges e_i = i + j, the member pinned at (1, 1.0).
+    Line j of a batch solves as line 0 plus j times the line of ones, whose S is
+    0 at even N, so the oracle solves those two.  As one line (the line path,
+    and the 1-D API), as 3 lines, and as 512 lines (the row path)."""
+    m = n_edges - 2
+    grid = PeriodicStagger1D(n_edges)
+    i = np.arange(1.0, m + 1)
+
+    def dense(c):
+        return solve_dense(build_system(CenterField1D(grid, c)))
+
+    if m % 2:
+        cases = [(i, dense(i).edges.values, dense(np.ones(m)).edges.values,
+                  lambda c: kernel.complete_lines(c, "unique")[0],
+                  lambda centers: edges_from_centers(centers).edges.values)]
+    else:
+        ones = dense(np.ones(m))
+        assert isinstance(ones, Family)
+        planted = (i + np.roll(i, -1)) / 2
+        pinned = pinned_member(dense(planted), 1)
+        assert pinned == [Fraction(v) for v in i.tolist()]
+        cases = [(i, [dense(i).residual], [0],
+                  lambda c: np.asarray(kernel.solve_lines(c)[2])[..., None],
+                  lambda centers: [edges_from_centers(centers).residual]),
+                 (planted, pinned, pinned_member(ones, 0),
+                  lambda c: kernel.complete_lines(c, "pin", 1e-10, 1, 1.0)[0],
+                  lambda centers: complete_pinned(centers, 1, 1.0).values)]
+    for c0, base, unit, solve, api in cases:
+        base, unit = as_floats(base), as_floats(unit)
+        for lines in (1, 3, kernel._ROWWISE_MIN_LINES):
+            j = np.arange(lines, dtype=np.float64)[:, None]
+            c = c0 + j
+            assert kernel._rowwise(c) == (lines == kernel._ROWWISE_MIN_LINES)
+            got = solve(c[0] if lines == 1 else c)
+            assert np.array_equal(np.reshape(got, (lines, -1)), base + j * unit)
+        assert np.array_equal(np.asarray(api(CenterField1D(grid, c0)), dtype=float), base)
+
+
 # -- P pair-first, against exact prefix sums and the alternating scan ----------
 
 
@@ -1993,6 +2125,35 @@ class TestMemoryBudget:
         peaks = [self.peak_per_line_byte(lambda: report(c), c.size)
                  for c in (consistent, last_inconsistent)]
         assert peaks[1] <= peaks[0] + 0.05
+
+    def test_completions_leave_no_reference_cycle(self):
+        """With the garbage collector off, everything complete_lines allocates is
+        freed with its result: a reference cycle in the kernel, such as a closure
+        that calls itself, would hold each P until a collection (an 8 MB P per
+        call of a 10^6-value line, which took long-lines from 222 to 1,397 MB)."""
+        rng = np.random.default_rng(6)
+        odd = rng.standard_normal(self.M)
+        even = kernel.average_lines(rng.standard_normal(self.M + 1))
+        field = kernel.average_lines(rng.standard_normal((12500, 8)))
+        assert kernel._rowwise(field)
+        cases = [(odd, "unique", ())] + [(c, strategy, pin) for c in (even, field)
+                                         for strategy, pin in (("min-norm", ()),
+                                                               ("pin", (3, 0.5)))]
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            for c, strategy, pin in cases:
+                base = tracemalloc.get_traced_memory()[0]
+                result = kernel.complete_lines(c, strategy, 1e-10, *pin)
+                assert tracemalloc.get_traced_memory()[0] - base >= 8 * c.size
+                del result
+                assert tracemalloc.get_traced_memory()[0] - base <= 4096, strategy
+        finally:
+            tracemalloc.stop()
+            if enabled:
+                gc.enable()
 
     def peak_of_many_lines(self, strategy):
         field = self.odd_lines if strategy == "unique" else self.even_lines
