@@ -88,11 +88,14 @@ one.  Fields hold float64 values by default.  Constructing a 1-D field from
 rational arithmetic (the kernel's constants are integers, and numpy's
 object arrays sum Fractions exactly); in that mode the even-N consistency
 test is S == 0 and ``tolerance`` is ignored (see :func:`solve_lines`).
-Otherwise the two modes take one path.  Finiteness is read one way in both,
-``np.abs(x) < np.inf`` (``abs(x) < math.inf`` for a scalar): False for nan and
-+-inf, True for every Fraction, which compares with a float infinity, so a
-Fraction is always finite, whatever its size.  A scalar goes back to the
-caller as ``np.asarray(x).item()``, a Python float or a Fraction.
+Otherwise the two modes take one path, but for one more read of the mode:
+:func:`average_lines` halves a float sum by multiplying it by 0.5 and a
+Fraction one by dividing it by 2, as a Fraction times 0.5 is a float.
+Finiteness is read one way in both, ``np.abs(x) < np.inf`` (``abs(x) <
+math.inf`` for a scalar): False for nan and +-inf, True for every Fraction,
+which compares with a float infinity, so a Fraction is always finite,
+whatever its size.  A scalar goes back to the caller as
+``np.asarray(x).item()``, a Python float or a Fraction.
 
 All functions here are pure: they never mutate their inputs and keep no
 module state, so concurrent use on distinct values needs no locking.
@@ -782,17 +785,27 @@ def average_lines(e: np.ndarray) -> np.ndarray:
     """Centers c_i = (e_i + e_{i+1}) / 2 of every line, with e_{M+1} = e_1.
 
     The sums go straight into the output (no rolled copy of e, no sign array)
-    and are halved in place.  Only where a sum overflows float64 (read from the
-    FP flag, so no pass is made where none does: edges are finite) are the
-    halves added instead, e_i / 2 + e_{i+1} / 2: there both are at least 2^970
-    in magnitude, so halving is exact and the mean, always finite, is rounded
-    once.  Each center depends on its two edges alone.
+    and are halved in place by one multiply by 1/2, which gives the bits of a
+    divide by 2 (both round x / 2 once; numpy's multiply loop runs at memory
+    speed, its divide loop does not).  Exact mode divides, as Fraction * 0.5 is
+    a float.  Only where a sum overflows float64 (read from the FP flag, so no
+    pass is made where none does: edges are finite) are the halves added
+    instead, e_i / 2 + e_{i+1} / 2, in place at those centers alone: there both
+    are at least 2^970 in magnitude, so halving is exact and the mean, always
+    finite, is rounded once.  Each center depends on its two edges alone.
     """
     overflowed = []
     with np.errstate(over="call", call=lambda *_: overflowed.append(True)):
         c = _neighbour_sums(e)
-    c /= 2   # an overflowed sum is inf, and only it: edges are finite
-    return np.where(np.isinf(c), _neighbour_sums(e / 2), c) if overflowed else c
+    if c.dtype == object:
+        c /= 2
+    else:
+        c *= 0.5
+    if overflowed:   # an overflowed sum is inf, and only it: edges are finite
+        *lines, i = np.nonzero(np.isinf(c))
+        after = (i + 1) % c.shape[-1]
+        c[(*lines, i)] = e[(*lines, i)] * 0.5 + e[(*lines, after)] * 0.5
+    return c
 
 
 # -- the 1-D API: a batch of one ---------------------------------------------

@@ -305,6 +305,47 @@ class TestCentersFromEdges:
         c = centers_from_edges(e)
         assert list(c.values) == [Fraction(1), Fraction(7, 4), Fraction(5, 4)]
 
+    def test_exact_centers_are_the_exact_means_as_fractions(self):
+        # a Fraction times 0.5 is a float, equal to 1 and 7/4 above but not to these
+        e = [Fraction(1, 3), Fraction(10**30 + 1, 7), Fraction(-5), Fraction(2**-1074),
+             Fraction(1, 10**400)]
+        c = centers_from_edges(EdgeField1D(PeriodicStagger1D(7), np.array(e, dtype=object)))
+        assert all(type(v) is Fraction for v in c.values)
+        assert list(c.values) == [(e[i] + e[(i + 1) % 5]) / 2 for i in range(5)]
+
+    #: lines of six edges: sums that are odd multiples of 5e-324, where halving
+    #: rounds (to even); signed zeros, whose sums and halves keep a sign; and
+    #: 1.7e308 pairs, whose sums overflow, at the wrap too
+    HALVING_LINES = np.array([
+        [1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+        [-7.0, 2.0, -9.0, -4.0, 11.0, 6.0],
+        [0.0, -0.0, -0.0, 0.0, 0.0, -0.0],
+        [1.7e308, 1.7e308, -1.7e308, -1.7e308, 1.0, 1.7e308],
+        [-0.0, 1.7e308, 1.7e308, 5e-324, -1.7e308, -1.7e308],
+    ]) * np.array([[5e-324], [5e-324], [1.0], [1.0], [1.0]])
+
+    @pytest.mark.parametrize("layout", ["lines alone", "C-ordered", "Fortran-ordered", "strided"])
+    def test_halving_gives_the_bits_of_a_divide(self, layout):
+        e = self.HALVING_LINES
+        with np.errstate(over="ignore"):
+            sums = e + np.roll(e, -1, axis=-1)
+        assert np.all(sums[:2] / 5e-324 % 2 == 1)   # odd multiples of 5e-324
+        assert np.all(reference_average(e[:2]) * 2 != sums[:2])   # every half rounds
+        assert np.all(np.isinf(sums[3, [0, 2, 5]])) and np.isinf(sums[4, 1])
+        if layout == "lines alone":
+            for line in e:
+                want = reference_average(line).tobytes()
+                assert kernel.average_lines(line).tobytes() == want
+                grid = PeriodicStagger1D(line.size + 2)
+                assert centers_from_edges(EdgeField1D(grid, line)).values.tobytes() == want
+            return
+        if layout == "Fortran-ordered":
+            e = np.asfortranarray(e)
+        elif layout == "strided":
+            e = np.repeat(np.repeat(e, 2, axis=0), 3, axis=1)[::2, ::3]
+            assert not e.flags.c_contiguous and not e.flags.f_contiguous
+        assert kernel.average_lines(e).tobytes() == reference_average(e).tobytes()
+
 
 class TestAlternatingResidual:
     def test_odd_example(self):
@@ -2052,6 +2093,17 @@ class TestMemoryBudget:
         particular or isfinite mask beside it (1.00 measured, 1.13 with the
         mask)."""
         assert self.peak_of(name) <= limit
+
+    def test_averages_where_a_sum_overflows_make_that_center_alone(self):
+        """Where one neighbour sum overflows, that center alone is made again from
+        the halves, in place: an isinf mask and its indices beside the output
+        (1.13 measured), not halved edges, their sums and an np.where output
+        beside it (3.13)."""
+        e = self.edges.values.copy()
+        e[10:12] = 1.7e308
+        assert float(e[10]) + float(e[11]) == math.inf
+        assert np.all(np.isfinite(kernel.average_lines(e)))
+        assert self.peak_per_line_byte(lambda: kernel.average_lines(e), e.size) <= 1.3
 
     @pytest.mark.parametrize("name", ["odd edges_from_centers", "even edges_from_centers"])
     def test_long_sums_hold_no_half_line(self, name):
